@@ -14,32 +14,8 @@ import numpy as np
 
 from irasim._kernels import sic_sweep_compiled, sic_sweep_python
 from irasim.model import DegreeDistribution, SystemConfig
-from irasim.receiver import run_sic_kernel
+from irasim.receiver import sweep_inputs
 from irasim.traffic import generate_trace
-
-
-def prepare(trace, cfg):
-    owners = np.repeat(np.arange(trace.n_users, dtype=np.int64), trace.degree)
-    order = np.argsort(trace.rep_start, kind="stable")
-    pos = np.empty(trace.n_replicas, dtype=np.int64)
-    pos[order] = np.arange(trace.n_replicas)
-    w0 = float(trace.arrival[0]) - cfg.window_length
-    vf_end = np.ascontiguousarray(trace.arrival + cfg.vf_duration)
-    n_steps = int(np.ceil((float(vf_end[-1]) - w0) / cfg.step_length)) + 2
-    return (
-        np.ascontiguousarray(trace.rep_start[order]),
-        np.ascontiguousarray(owners[order]),
-        np.ascontiguousarray(trace.rep_ptr),
-        pos,
-        vf_end,
-        w0,
-        n_steps,
-        cfg.step_length,
-        cfg.window_length,
-        cfg.snr_linear,
-        cfg.rate,
-        cfg.packet_duration,
-    )
 
 
 def main():
@@ -55,7 +31,7 @@ def main():
     rng = np.random.default_rng(1)
     trace = generate_trace(cfg, dist, args.load, horizon, rng)
     print(f"trace: {trace.n_users} users, {trace.n_replicas} replicas, load {args.load}")
-    kernel_args = prepare(trace, cfg)
+    kernel_args = sweep_inputs(trace, cfg)
 
     if sic_sweep_compiled is None:
         print("numba unavailable; only the plain path can run")
@@ -76,7 +52,8 @@ def main():
     print(f"python:   {t_plain:8.3f} s  ({trace.n_users / t_plain:10.0f} users/s)")
 
     if compiled is not None:
-        assert np.array_equal(compiled[0], plain[0]), "paths disagree"
+        same_w = np.array_equal(compiled[1], plain[1], equal_nan=True)
+        assert np.array_equal(compiled[0], plain[0]) and same_w, "paths disagree"
         print(f"speedup:  {t_plain / best:8.1f}x  (identical classifications)")
 
 

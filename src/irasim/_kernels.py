@@ -1,13 +1,21 @@
 """Hot inner loop of the sliding-window SIC receiver.
 
 The sweep is compiled with numba when available; set IRASIM_NO_NUMBA=1 to
-select the identical code as plain Python over numpy arrays (slow path, same
-results). Both variants are always exported so the benchmark under
-benchmarks/ can compare them directly:
+select the identical code as plain Python (slow path, same results). Both
+variants are always exported so the benchmark under benchmarks/ can compare
+them directly:
 
 * ``sic_sweep``          active implementation (compiled unless disabled)
 * ``sic_sweep_python``   plain-Python build of the same code
 * ``sic_sweep_compiled`` numba build, or None when numba is unavailable
+
+Both builds take numpy arrays. The caller passes, per replica, the index range
+``[nb_lo[i], nb_hi[i])`` of the replicas whose start lies within one packet
+of replica ``i`` (see ``receiver.sweep_inputs``), so the sweep never searches
+for neighbours. The plain build reads and writes every array through a
+``memoryview`` of its buffer: element access then yields Python scalars,
+about twice as fast as indexing numpy arrays, with no copy and no change in
+the arithmetic. The compiled build sees the numpy arrays themselves.
 """
 
 from __future__ import annotations
@@ -24,56 +32,33 @@ def _numba_requested() -> bool:
     return os.environ.get(ENV_FLAG, "").strip().lower() not in {"1", "true", "yes", "on"}
 
 
-def _plain(func):
-    return func
+def _identity(a):
+    return a
 
 
-def _build_sweep(jit):
-    """Build the sweep with ``jit`` applied to every stage."""
-
-    @jit
-    def bisect_right(a, x):
-        lo = 0
-        hi = a.shape[0]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] <= x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+def _build_sweep(jit, view):
+    """Build the sweep with ``jit`` applied to every stage and ``view``
+    wrapping every array before element access."""
 
     @jit
-    def bisect_left(a, x):
-        lo = 0
-        hi = a.shape[0]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    @jit
-    def avg_mi(rep_start, active, i, snr, t_p, mi_table, ev_a, ev_b):
-        # Average MI of replica i against every currently active replica.
-        # Same-owner replicas never land in the search range because of the
-        # one-packet placement separation.
+    def avg_mi(rep_start, active, i, lo, hi, snr, t_p, mi_table, ev_a, ev_b):
+        # Average MI of replica i against every currently active replica in
+        # [lo, hi), the replicas starting within one packet of it. Same-owner
+        # replicas never land in that range because of the one-packet
+        # placement separation.
         s = rep_start[i]
-        lo = bisect_right(rep_start, s - t_p)
-        hi = bisect_left(rep_start, s + t_p)
+        s_end = s + t_p
         k = 0
         cap = ev_a.shape[0]
         for j in range(lo, hi):
             if j == i or not active[j]:
                 continue
             a = rep_start[j]
+            b = a + t_p
             if a < s:
                 a = s
-            b = rep_start[j] + t_p
-            if b > s + t_p:
-                b = s + t_p
+            if b > s_end:
+                b = s_end
             if b <= a:
                 continue
             if k >= cap:
@@ -83,20 +68,9 @@ def _build_sweep(jit):
             k += 1
         if k == 0:
             return mi_table[0]
-        for p in range(1, k):  # insertion sorts, k stays small
-            va = ev_a[p]
-            q = p - 1
-            while q >= 0 and ev_a[q] > va:
-                ev_a[q + 1] = ev_a[q]
-                q -= 1
-            ev_a[q + 1] = va
-        for p in range(1, k):
-            vb = ev_b[p]
-            q = p - 1
-            while q >= 0 and ev_b[q] > vb:
-                ev_b[q + 1] = ev_b[q]
-                q -= 1
-            ev_b[q + 1] = vb
+        # Both event lists are already ascending, since rep_start is sorted:
+        # replicas j < i contribute a = s and b = rep_start[j] + t_p <= s_end,
+        # replicas j > i contribute a = rep_start[j] and b = s_end.
         acc = 0.0
         prev = s
         ia = 0
@@ -120,8 +94,8 @@ def _build_sweep(jit):
                 acc += (x - prev) * mi_k
                 prev = x
             run += delta
-        if prev < s + t_p:
-            acc += (s + t_p - prev) * mi_table[0]
+        if prev < s_end:
+            acc += (s_end - prev) * mi_table[0]
         return acc / t_p
 
     @jit
@@ -138,27 +112,38 @@ def _build_sweep(jit):
         snr,
         rate,
         t_p,
+        nb_lo,
+        nb_hi,
     ):
         # Slide the window over one trace and classify every user. Returns
         # (decoded, decided_w, n_classified); decided_w[u] is the window start
         # at the moment user u was decoded or declared lost.
         n_rep = rep_start.shape[0]
         n_user = user_ptr.shape[0] - 1
-        active = np.ones(n_rep, np.bool_)
-        queued = np.zeros(n_rep, np.bool_)
-        decoded = np.zeros(n_user, np.bool_)
-        decided_w = np.full(n_user, np.nan)
-        stack = np.empty(n_rep, np.int64)
+        rep_start = view(rep_start)
+        rep_owner = view(rep_owner)
+        user_ptr = view(user_ptr)
+        rep_of_user = view(rep_of_user)
+        vf_end = view(vf_end)
+        nb_lo = view(nb_lo)
+        nb_hi = view(nb_hi)
+        decoded_out = np.zeros(n_user, np.bool_)
+        decided_w_out = np.full(n_user, np.nan)
+        decoded = view(decoded_out)
+        decided_w = view(decided_w_out)
+        active = view(np.ones(n_rep, np.bool_))
+        queued = view(np.zeros(n_rep, np.bool_))
+        stack = view(np.empty(n_rep, np.int64))
         top = 0
         n_done = 0
         admit = 0
         trail = 0
 
-        mi_table = np.empty(64)
+        mi_table = view(np.empty(64))
         for k in range(64):
             mi_table[k] = math.log2(1.0 + snr / (1.0 + k * snr))
-        ev_a = np.empty(256)
-        ev_b = np.empty(256)
+        ev_a = view(np.empty(256))
+        ev_b = view(np.empty(256))
 
         for step in range(n_steps):
             w = w0 + step * step_len
@@ -197,11 +182,13 @@ def _build_sweep(jit):
                 s = rep_start[i]
                 if s < w or s + t_p > w_end:
                     continue
-                mi = avg_mi(rep_start, active, i, snr, t_p, mi_table, ev_a, ev_b)
+                lo = nb_lo[i]
+                hi = nb_hi[i]
+                mi = avg_mi(rep_start, active, i, lo, hi, snr, t_p, mi_table, ev_a, ev_b)
                 while mi < 0.0:
-                    ev_a = np.empty(ev_a.shape[0] * 2)
-                    ev_b = np.empty(ev_b.shape[0] * 2)
-                    mi = avg_mi(rep_start, active, i, snr, t_p, mi_table, ev_a, ev_b)
+                    ev_a = view(np.empty(ev_a.shape[0] * 2))
+                    ev_b = view(np.empty(ev_b.shape[0] * 2))
+                    mi = avg_mi(rep_start, active, i, lo, hi, snr, t_p, mi_table, ev_a, ev_b)
                 if mi >= rate:
                     decoded[u] = True
                     decided_w[u] = w
@@ -209,10 +196,7 @@ def _build_sweep(jit):
                     for jj in range(user_ptr[u], user_ptr[u + 1]):
                         r = rep_of_user[jj]
                         active[r] = False
-                        sr = rep_start[r]
-                        lo = bisect_right(rep_start, sr - t_p)
-                        hi = bisect_left(rep_start, sr + t_p)
-                        for nb in range(lo, hi):
+                        for nb in range(nb_lo[r], nb_hi[r]):
                             if nb == r or nb >= admit or queued[nb] or not active[nb]:
                                 continue
                             if decoded[rep_owner[nb]] or rep_start[nb] < w:
@@ -224,12 +208,12 @@ def _build_sweep(jit):
             if n_done >= n_user:
                 break
 
-        return decoded, decided_w, n_done
+        return decoded_out, decided_w_out, n_done
 
     return sweep
 
 
-sic_sweep_python = _build_sweep(_plain)
+sic_sweep_python = _build_sweep(_identity, memoryview)
 
 sic_sweep_compiled = None
 try:
@@ -237,7 +221,7 @@ try:
 except ImportError:
     _njit = None
 if _njit is not None:
-    sic_sweep_compiled = _build_sweep(_njit(cache=True))
+    sic_sweep_compiled = _build_sweep(_njit(cache=True), _njit(_identity))
 
 NUMBA_ENABLED = sic_sweep_compiled is not None and _numba_requested()
 sic_sweep = sic_sweep_compiled if NUMBA_ENABLED else sic_sweep_python

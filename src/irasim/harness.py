@@ -58,6 +58,8 @@ class ExperimentConfig:
             raise ConfigError("min_users_per_point must be at least 10000")
         if self.max_lost_events < 1:
             raise ConfigError("max_lost_events must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         validate_config(self.system, self.distribution)
 
 

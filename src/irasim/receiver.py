@@ -160,6 +160,47 @@ def _run_reference(trace: TrafficTrace, cfg: SystemConfig) -> tuple[np.ndarray, 
     return decoded, lost
 
 
+def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
+    """Arguments of :func:`irasim._kernels.sic_sweep` for one non-empty trace.
+
+    Replicas are sorted by start time. Position 3 maps each user's replicas,
+    in trace order, to their sorted positions. The last two entries give, per
+    sorted replica ``i``, the index range ``[nb_lo[i], nb_hi[i])`` of the
+    replicas starting strictly less than one packet away from it; a replica
+    exactly one packet away touches ``i`` without overlapping it.
+    """
+    order = np.argsort(trace.rep_start, kind="stable")
+    rep_start = np.ascontiguousarray(trace.rep_start[order])
+    rep_owner = np.repeat(np.arange(trace.n_users, dtype=np.int64), trace.degree)[order]
+    pos = np.empty(trace.n_replicas, dtype=np.int64)
+    pos[order] = np.arange(trace.n_replicas)
+    del order  # freed before the neighbour ranges are allocated
+    vf_end = np.ascontiguousarray(trace.arrival + cfg.vf_duration)
+    t_p = cfg.packet_duration
+    nb_lo = np.searchsorted(rep_start, rep_start - t_p, side="right")
+    nb_hi = np.searchsorted(rep_start, rep_start + t_p, side="left")
+
+    w0 = float(trace.arrival[0]) - cfg.window_length
+    step_len = cfg.step_length
+    n_steps = int(np.ceil((float(vf_end[-1]) - w0) / step_len)) + 2
+    return (
+        rep_start,
+        rep_owner,
+        np.ascontiguousarray(trace.rep_ptr),
+        pos,
+        vf_end,
+        w0,
+        n_steps,
+        step_len,
+        cfg.window_length,
+        cfg.snr_linear,
+        cfg.rate,
+        t_p,
+        nb_lo,
+        nb_hi,
+    )
+
+
 def run_sic_kernel(
     trace: TrafficTrace, cfg: SystemConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,34 +217,10 @@ def run_sic_kernel(
             np.zeros(0, dtype=np.float64),
             np.zeros(0, dtype=np.int64),
         )
-    owners = np.repeat(np.arange(n_users, dtype=np.int64), trace.degree)
-    order = np.argsort(trace.rep_start, kind="stable")
-    rep_start = np.ascontiguousarray(trace.rep_start[order])
-    rep_owner = np.ascontiguousarray(owners[order])
-    pos = np.empty(trace.n_replicas, dtype=np.int64)
-    pos[order] = np.arange(trace.n_replicas)
-    vf_end = np.ascontiguousarray(trace.arrival + cfg.vf_duration)
-
-    w0 = float(trace.arrival[0]) - cfg.window_length
-    step_len = cfg.step_length
-    n_steps = int(np.ceil((float(vf_end[-1]) - w0) / step_len)) + 2
-
-    decoded, decided_w, n_done = _kernels.sic_sweep(
-        rep_start,
-        rep_owner,
-        np.ascontiguousarray(trace.rep_ptr),
-        pos,
-        vf_end,
-        w0,
-        n_steps,
-        step_len,
-        cfg.window_length,
-        cfg.snr_linear,
-        cfg.rate,
-        cfg.packet_duration,
-    )
+    args = sweep_inputs(trace, cfg)
+    decoded, decided_w, n_done = _kernels.sic_sweep(*args)
     if n_done != n_users:
         raise RuntimeError(
             f"receiver sweep classified {n_done} of {n_users} users"
         )
-    return decoded, decided_w, pos
+    return decoded, decided_w, args[3]

@@ -24,9 +24,10 @@ from irasim.errorfloor import (
 from irasim.harness import ExperimentConfig, point_seed, run_point, sweep, wilson_interval
 from irasim.model import DegreeDistribution, SystemConfig, TimeInterval
 from irasim.channel import avg_mutual_information, build_timeline, is_decodable
-from irasim.receiver import make_state, sic_pass
+from irasim.receiver import make_state, run_sic_kernel, sic_pass
 from irasim.traffic import generate_trace
 
+from conftest import manual_trace
 from oracles import plr_floor_mp, two_user_closed_form
 
 RHO = 10**0.6
@@ -226,13 +227,18 @@ def test_criterion_7_receiver_property_suite():
 
     # single-interferer decodability flips exactly at overlap 1 - phi
     # (the vulnerable fraction phi is the clean fraction required by the
-    # threshold equation, so overlap up to 1 - phi is survivable)
+    # threshold equation, so overlap up to 1 - phi is survivable), in the
+    # channel model and in the array kernel: two degree-2 users whose replica
+    # pairs overlap by alpha, exactly one packet apart at alpha = 0
     grid_ok = True
     for alpha in np.linspace(0.0, 1.0, 100):
         replica = TimeInterval(0.0, 1.0)
         others = [TimeInterval(1.0 - alpha, 2.0 - alpha)] if alpha > 0 else []
         mi = avg_mutual_information(build_timeline(replica, others), RHO)
-        if is_decodable(mi, 1.5) != (alpha <= 1.0 - phi):
+        want = bool(alpha <= 1.0 - phi)
+        d = 1.0 - alpha
+        decoded, _, _ = run_sic_kernel(manual_trace(S200_R15, [(0.0, 50.0), (d, 50.0 + d)]), S200_R15)
+        if is_decodable(mi, 1.5) != want or decoded.tolist() != [want, want]:
             grid_ok = False
             break
 

@@ -266,6 +266,23 @@ class TestCli:
     def test_missing_file_exit_code(self):
         assert cli_main(["predict", "/nonexistent/nowhere.cfg"]) == 2
 
+    def test_negative_seed_key_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG_TEXT.replace("seed = 99", "seed = -1"))
+        with pytest.raises(ConfigError):
+            parse_config_file(bad)
+        assert cli_main(["simulate", str(bad), "--load", "0.2"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["sweep"], ["simulate", "--load", "0.2"], ["dump-trace", "--load", "0.2", "--horizon", "50"]],
+    )
+    def test_negative_seed_flag_exit_code(self, config_file, command, capsys):
+        argv = [command[0], str(config_file), *command[1:], "--seed", "-1"]
+        assert cli_main(argv) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_verify_ucp_small(self, capsys):
         rc = cli_main(["verify-ucp", "--min-periods", "4", "--max-periods", "5"])
         assert rc == 0

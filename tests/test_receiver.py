@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from irasim.model import DegreeDistribution, SystemConfig
-from irasim.receiver import make_state, run_receiver, run_sic_kernel, sic_pass, slide
+from irasim.receiver import (
+    make_state,
+    run_receiver,
+    run_sic_kernel,
+    sic_pass,
+    slide,
+    sweep_inputs,
+)
 from irasim.traffic import generate_trace
 
 from conftest import manual_trace
@@ -147,3 +154,30 @@ def test_kernel_reports_decision_window(cfg200):
     # the stuck pair is declared lost once their frames leave the window
     assert decided_w[0] > 200.0
     assert decided_w[2] >= 500.0 - cfg200.window_length
+
+
+def test_replicas_one_packet_apart_do_not_overlap(cfg200):
+    # starts exactly one packet apart touch without overlapping, so no replica
+    # counts the next one as a neighbour and every user decodes
+    trace = manual_trace(cfg200, [(0.0, 50.0), (1.0, 51.0), (2.0, 52.0)])
+    args = sweep_inputs(trace, cfg200)
+    rep_start, nb_lo, nb_hi = args[0], args[-2], args[-1]
+    assert rep_start.tolist() == [0.0, 1.0, 2.0, 50.0, 51.0, 52.0]
+    assert nb_lo.tolist() == [0, 1, 2, 3, 4, 5]
+    assert nb_hi.tolist() == [1, 2, 3, 4, 5, 6]
+    for engine in ("kernel", "reference"):
+        decoded, lost = run_receiver(trace, cfg200, engine=engine)
+        assert decoded.tolist() == [0, 1, 2]
+        assert lost.size == 0
+
+
+def test_neighbour_ranges_bound_open_packet_interval(cfg200):
+    # [nb_lo[i], nb_hi[i]) holds exactly the replicas starting strictly
+    # within one packet of replica i, itself included
+    rng = np.random.default_rng(3)
+    trace = generate_trace(cfg200, DegreeDistribution.regular(3), 1.5, 600.0, rng)
+    args = sweep_inputs(trace, cfg200)
+    rep_start, nb_lo, nb_hi = args[0], args[-2], args[-1]
+    for i, s in enumerate(rep_start):
+        near = np.flatnonzero(np.abs(rep_start - s) < cfg200.packet_duration)
+        assert near.tolist() == list(range(nb_lo[i], nb_hi[i]))
