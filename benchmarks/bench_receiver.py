@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Benchmark the receiver sweep: numba-compiled kernel vs plain Python.
+"""Benchmark the array receiver against its sweep alone, per load.
 
-Both variants run the exact same code (see irasim._kernels); the compiled
-one is what IRASIM_NO_NUMBA=1 switches off. Results must match bit for bit.
+For each load this times ``run_sic_kernel`` (the peeling pre-pass, then the
+sweep on the users it leaves) and the plain-Python sweep on the whole trace,
+and with numba present also the compiled sweep. It prints the share of users
+the pre-pass resolved and the steps each sweep actually visited out of the
+step grid. The receiver and the sweep alone must classify every user
+identically, and so must the compiled and plain builds of the sweep (see
+irasim._kernels).
 
-Usage: python benchmarks/bench_receiver.py [--users 20000] [--load 0.2]
+Usage: python benchmarks/bench_receiver.py [--users 20000] [--loads 0.05 0.1 0.3]
 """
 
 import argparse
@@ -12,49 +17,82 @@ import time
 
 import numpy as np
 
-from irasim._kernels import sic_sweep_compiled, sic_sweep_python
+from irasim import _kernels
 from irasim.model import DegreeDistribution, SystemConfig
-from irasim.receiver import sweep_inputs
+from irasim.receiver import peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import generate_trace
+
+
+def best_of(repeat, fn):
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def residual_sweep_steps(trace, cfg):
+    """Steps visited by the sweep inside ``run_sic_kernel``."""
+    visited = []
+    active = _kernels.sic_sweep
+
+    def counting(*args):
+        out = active(*args)
+        visited.append(out[3])
+        return out
+
+    _kernels.sic_sweep = counting
+    try:
+        run_sic_kernel(trace, cfg)
+    finally:
+        _kernels.sic_sweep = active
+    return visited[0]
+
+
+def line(label, seconds, users, visited, n_steps):
+    print(f"  {label:<22s} {seconds * 1e3:9.2f} ms  ({users / seconds:9.0f} users/s)"
+          f"  visited {visited} of {n_steps} steps")
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--users", type=int, default=20_000)
-    ap.add_argument("--load", type=float, default=0.2)
+    ap.add_argument("--loads", type=float, nargs="+", default=[0.05, 0.1, 0.3])
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
     cfg = SystemConfig.from_db(6.0, 1.5, 200.0)
     dist = DegreeDistribution.regular(2)
-    horizon = args.users / args.load
-    rng = np.random.default_rng(1)
-    trace = generate_trace(cfg, dist, args.load, horizon, rng)
-    print(f"trace: {trace.n_users} users, {trace.n_replicas} replicas, load {args.load}")
-    kernel_args = sweep_inputs(trace, cfg)
+    compiled = _kernels.sic_sweep_compiled
+    print(f"engine: {'numba' if _kernels.NUMBA_ENABLED else 'python'}")
+    if compiled is None:
+        print("numba unavailable; only the plain sweep can run")
 
-    if sic_sweep_compiled is None:
-        print("numba unavailable; only the plain path can run")
-        compiled = None
-    else:
-        sic_sweep_compiled(*kernel_args)  # warm up the JIT
-        best = float("inf")
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            compiled = sic_sweep_compiled(*kernel_args)
-            best = min(best, time.perf_counter() - t0)
-        rate_c = trace.n_users / best
-        print(f"compiled: {best:8.3f} s  ({rate_c:10.0f} users/s)")
+    for load in args.loads:
+        trace = generate_trace(cfg, dist, load, args.users / load, np.random.default_rng(1))
+        n = trace.n_users
+        kernel_args = sweep_inputs(trace, cfg)
+        n_steps = kernel_args[6]
+        peeled = peel(kernel_args)
+        share = 0.0 if peeled is None else float(np.mean(~peeled[0]))
+        print(f"load {load:g}: {n} users, {trace.n_replicas} replicas, "
+              f"pre-pass resolved {share:.1%}")
 
-    t0 = time.perf_counter()
-    plain = sic_sweep_python(*kernel_args)
-    t_plain = time.perf_counter() - t0
-    print(f"python:   {t_plain:8.3f} s  ({trace.n_users / t_plain:10.0f} users/s)")
+        t_recv, (decoded, decided_w) = best_of(args.repeat, lambda: run_sic_kernel(trace, cfg))
+        line("receiver", t_recv, n, residual_sweep_steps(trace, cfg), n_steps)
+        t_plain, plain = best_of(args.repeat, lambda: _kernels.sic_sweep_python(*kernel_args))
+        line("python sweep alone", t_plain, n, plain[3], n_steps)
+        same = np.array_equal(decoded, plain[0]) and np.array_equal(decided_w, plain[1])
+        assert same, "receiver and sweep alone disagree"
 
-    if compiled is not None:
-        same_w = np.array_equal(compiled[1], plain[1], equal_nan=True)
-        assert np.array_equal(compiled[0], plain[0]) and same_w, "paths disagree"
-        print(f"speedup:  {t_plain / best:8.1f}x  (identical classifications)")
+        if compiled is not None:
+            compiled(*kernel_args)  # warm up the JIT
+            t_comp, comp = best_of(args.repeat, lambda: compiled(*kernel_args))
+            line("compiled sweep alone", t_comp, n, comp[3], n_steps)
+            same_w = np.array_equal(comp[1], plain[1], equal_nan=True)
+            assert np.array_equal(comp[0], plain[0]) and same_w, "paths disagree"
+        print(f"  receiver vs python sweep alone: {t_plain / t_recv:.2f}x (identical classifications)")
 
 
 if __name__ == "__main__":

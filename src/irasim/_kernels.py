@@ -16,6 +16,17 @@ for neighbours. The plain build reads and writes every array through a
 ``memoryview`` of its buffer: element access then yields Python scalars,
 about twice as fast as indexing numpy arrays, with no copy and no change in
 the arithmetic. The compiled build sees the numpy arrays themselves.
+
+The sweep visits only the steps at which something can happen. Every step
+ends with an empty candidate stack, and a step that neither expires a user
+nor admits a replica starts with one too, so it does nothing. After each
+step the sweep therefore jumps to a lower bound of the next expiry and the
+next admission step, estimated from ``vf_end`` and ``rep_start`` of the next
+user and replica in line; each visited step still applies the exact window
+tests. This matters when the receiver has resolved most users of a sparse
+trace beforehand (``receiver.peel``) and sweeps the few that remain on the
+full trace's step grid. The sweep returns ``(decoded, decided_w,
+n_classified, n_visited)``, the last being the number of steps executed.
 """
 
 from __future__ import annotations
@@ -116,8 +127,9 @@ def _build_sweep(jit, view):
         nb_hi,
     ):
         # Slide the window over one trace and classify every user. Returns
-        # (decoded, decided_w, n_classified); decided_w[u] is the window start
-        # at the moment user u was decoded or declared lost.
+        # (decoded, decided_w, n_classified, n_visited); decided_w[u] is the
+        # window start at the moment user u was decoded or declared lost, and
+        # n_visited counts the steps actually executed out of n_steps.
         n_rep = rep_start.shape[0]
         n_user = user_ptr.shape[0] - 1
         rep_start = view(rep_start)
@@ -145,7 +157,10 @@ def _build_sweep(jit, view):
         ev_a = view(np.empty(256))
         ev_b = view(np.empty(256))
 
-        for step in range(n_steps):
+        step = 0
+        n_visited = 0
+        while step < n_steps:
+            n_visited += 1
             w = w0 + step * step_len
             w_end = w + win_len
 
@@ -208,7 +223,26 @@ def _build_sweep(jit, view):
             if n_done >= n_user:
                 break
 
-        return decoded_out, decided_w_out, n_done
+            # The stack is empty, so nothing happens before the next user
+            # expires or the next replica is admitted. When neither looks due
+            # within two steps, jump to a lower bound of both steps; its
+            # margin of one step absorbs the rounding of the estimates, and
+            # the tests above stay the exact ones.
+            step += 1
+            if (trail >= n_user or vf_end[trail] >= w + 2.0 * step_len) and (
+                admit >= n_rep or rep_start[admit] + t_p > w_end + 2.0 * step_len
+            ):
+                nxt = n_steps
+                if trail < n_user:
+                    nxt = int(math.floor((vf_end[trail] - w0) / step_len)) - 1
+                if admit < n_rep:
+                    k = int(math.floor((rep_start[admit] + t_p - win_len - w0) / step_len)) - 1
+                    if k < nxt:
+                        nxt = k
+                if nxt > step:
+                    step = nxt
+
+        return decoded_out, decided_w_out, n_done, n_visited
 
     return sweep
 

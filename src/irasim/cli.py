@@ -24,6 +24,7 @@ from .errorfloor import (
 )
 from .harness import (
     ConfigError,
+    check_load,
     parse_config_file,
     point_seed,
     predict,
@@ -77,6 +78,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _apply_seed(parse_config_file(args.config), args.seed)
     load = args.load
+    check_load(load)
     sink = None
     if args.dump_outcomes:
         _ensure_parent(args.dump_outcomes)
@@ -101,6 +103,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify_ucp(args) -> int:
+    if not 0 <= args.min_periods <= args.max_periods:
+        raise ConfigError(
+            "periods must satisfy 0 <= --min-periods <= --max-periods, "
+            f"got {args.min_periods} and {args.max_periods}"
+        )
     failures = 0
     for pattern in builtin_catalog():
         for n in range(args.min_periods, args.max_periods + 1):

@@ -36,6 +36,12 @@ class ConfigError(ValueError):
     pass
 
 
+def check_load(load: float) -> None:
+    """Raise :class:`ConfigError` unless ``load`` is finite and positive."""
+    if not (math.isfinite(load) and load > 0):
+        raise ConfigError(f"loads must be finite and strictly positive, got {load}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     system: SystemConfig
@@ -50,8 +56,8 @@ class ExperimentConfig:
         object.__setattr__(self, "load_grid", tuple(float(g) for g in self.load_grid))
         if not self.load_grid:
             raise ConfigError("load grid is empty")
-        if any(g <= 0 for g in self.load_grid):
-            raise ConfigError("loads must be strictly positive")
+        for g in self.load_grid:
+            check_load(g)
         if list(self.load_grid) != sorted(self.load_grid):
             raise ConfigError("load grid must be sorted ascending")
         if self.min_users_per_point < 10_000:
@@ -147,7 +153,7 @@ def _simulate_batch(
     margin = system.window_length
     horizon = BATCH_VF_COUNT * system.vf_duration + 2.0 * margin
     trace = generate_trace(system, dist, load, horizon, rng)
-    decoded, decided_w, _ = run_sic_kernel(trace, system)
+    decoded, decided_w = run_sic_kernel(trace, system)
     interior = (trace.arrival >= margin) & (trace.arrival + system.vf_duration <= horizon - margin)
     users = int(interior.sum())
     lost = int((interior & ~decoded).sum())

@@ -112,6 +112,10 @@ class SystemConfig:
         if not (math.isfinite(self.vf_span) and self.vf_span >= 2.0):
             # a virtual frame must fit at least two non-overlapping replicas
             raise InvalidPhysicalParameter(f"vf_span must be >= 2 packet durations, got {self.vf_span}")
+        if not (math.isfinite(self.window_span) and math.isfinite(self.window_step)):
+            raise InvalidPhysicalParameter(
+                f"window_span and window_step must be finite, got {self.window_span}, {self.window_step}"
+            )
         if self.window_span < 1.0 + 1.0 / self.vf_span:
             raise InvalidPhysicalParameter(
                 "window must contain at least one full virtual frame plus a packet"

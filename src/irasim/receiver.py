@@ -8,15 +8,24 @@ decodes any more, the window advances by ``window_step`` virtual frames;
 users whose whole virtual frame has left the window are lost.
 
 Two interchangeable engines are provided: a transparent step-by-step
-reference built on :mod:`irasim.channel`, and the array kernel from
-:mod:`irasim._kernels` used for large Monte Carlo runs. Both produce the
-same classification; the fixed point of exhaustive cancellation does not
-depend on the order in which decodable replicas are picked, because
-cancelling only ever raises the MI of the remaining replicas.
+reference built on :mod:`irasim.channel`, and the array receiver used for
+large Monte Carlo runs. Both produce the same classification; the fixed
+point of exhaustive cancellation does not depend on the order in which
+decodable replicas are picked, because cancelling only ever raises the MI of
+the remaining replicas.
+
+The array receiver (:func:`run_sic_kernel`) sorts the replicas once
+(:func:`sweep_inputs`), then resolves in closed form, with numpy, every user
+whose collision component has at most one other replica within one packet
+of each replica (:func:`peel`, which also states why its outcome equals the
+sweep's bit for bit). Only the remaining users go through the window sweep
+of :mod:`irasim._kernels`. At low load, the error-floor region, the pre-pass
+resolves most users.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,14 +63,13 @@ class ReceiverState:
 
 
 def make_state(trace: TrafficTrace, cfg: SystemConfig) -> ReceiverState:
-    owners = np.repeat(np.arange(trace.n_users, dtype=np.int64), trace.degree)
-    order = np.argsort(trace.rep_start, kind="stable")
+    rep_start, rep_owner, _ = _sorted_replicas(trace)
     first = trace.arrival[0] if trace.n_users else 0.0
     w0 = first - cfg.window_length
     return ReceiverState(
         window=TimeInterval(w0, w0 + cfg.window_length),
-        rep_start=trace.rep_start[order],
-        rep_owner=owners[order],
+        rep_start=rep_start,
+        rep_owner=rep_owner,
         vf_end=trace.arrival + cfg.vf_duration,
         active=np.ones(trace.n_replicas, dtype=bool),
         packet_duration=cfg.packet_duration,
@@ -144,7 +152,7 @@ def run_receiver(
         return _run_reference(trace, cfg)
     if engine != "kernel":
         raise ValueError(f"unknown engine {engine!r}")
-    decoded, _, _ = run_sic_kernel(trace, cfg)
+    decoded, _ = run_sic_kernel(trace, cfg)
     ids = np.arange(trace.n_users, dtype=np.int64)
     return ids[decoded], ids[~decoded]
 
@@ -160,6 +168,17 @@ def _run_reference(trace: TrafficTrace, cfg: SystemConfig) -> tuple[np.ndarray, 
     return decoded, lost
 
 
+def _sorted_replicas(trace: TrafficTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replica starts in ascending order, the owner of each sorted replica,
+    and the sorted position of every replica in trace (user-major) order."""
+    order = np.argsort(trace.rep_start, kind="stable")
+    rep_start = trace.rep_start[order]
+    rep_owner = np.repeat(np.arange(trace.n_users, dtype=np.int64), trace.degree)[order]
+    pos = np.empty(trace.n_replicas, dtype=np.int64)
+    pos[order] = np.arange(trace.n_replicas)
+    return rep_start, rep_owner, pos
+
+
 def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
     """Arguments of :func:`irasim._kernels.sic_sweep` for one non-empty trace.
 
@@ -169,12 +188,7 @@ def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
     replicas starting strictly less than one packet away from it; a replica
     exactly one packet away touches ``i`` without overlapping it.
     """
-    order = np.argsort(trace.rep_start, kind="stable")
-    rep_start = np.ascontiguousarray(trace.rep_start[order])
-    rep_owner = np.repeat(np.arange(trace.n_users, dtype=np.int64), trace.degree)[order]
-    pos = np.empty(trace.n_replicas, dtype=np.int64)
-    pos[order] = np.arange(trace.n_replicas)
-    del order  # freed before the neighbour ranges are allocated
+    rep_start, rep_owner, pos = _sorted_replicas(trace)
     vf_end = np.ascontiguousarray(trace.arrival + cfg.vf_duration)
     t_p = cfg.packet_duration
     nb_lo = np.searchsorted(rep_start, rep_start - t_p, side="right")
@@ -201,26 +215,228 @@ def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
     )
 
 
-def run_sic_kernel(
-    trace: TrafficTrace, cfg: SystemConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array-kernel sweep over one trace.
+#: Rounds after which the taint spread or the decode-step iteration of
+#: :func:`peel` gives up and leaves the whole trace to the sweep. Giving up
+#: is exact, only slower.
+_MAX_ROUNDS = 64
 
-    Returns ``(decoded, decided_w, order_of_user_replicas)`` where ``decoded``
-    is a per-user boolean array and ``decided_w[u]`` the window start position
-    at classification time.
+
+#: Smallest share of users :func:`peel` must resolve for the sweep to run on
+#: a copy of the rest's inputs. The users it resolves are the ones the sweep
+#: handles fastest, so below this share the pre-pass and the copy cost about
+#: what they save, and the copy, made next to the full inputs, raises peak
+#: memory on dense traces.
+_MIN_PEELED_SHARE = 1 / 4
+
+
+def _first_step(x: np.ndarray, offset: float, strict: bool, w0: float, step_len: float) -> np.ndarray:
+    """Smallest step ``k >= 0`` with ``x < (w0 + k*step_len) + offset``, or
+    ``<=`` when not ``strict``, evaluated with the sweep's float expressions
+    for the window start (``offset = 0``) and end (``offset = win_len``)."""
+    holds = np.less if strict else np.less_equal
+    k = np.maximum(np.ceil((x - offset - w0) / step_len), 0.0)
+    while True:
+        down = (k > 0.0) & holds(x, (w0 + (k - 1.0) * step_len) + offset)
+        up = ~holds(x, (w0 + k * step_len) + offset)
+        if not (down.any() or up.any()):
+            return k.astype(np.int64)
+        k += up
+        k -= down
+
+
+def peel(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Classify, in closed form, the users of sparse collision components.
+
+    ``args`` are the :func:`sweep_inputs` of a trace. A replica is *simple*
+    when at most one other replica, its *partner*, starts within one packet
+    of it. A user owning a non-simple replica is *tainted*, and taint spreads
+    over partner pairs until no untainted replica has a tainted partner. For
+    the untainted users this finds exactly what the sweep would, and returns
+    ``(rest, decoded, decided_w)``: ``rest`` marks the tainted users, which
+    the sweep still has to classify, and the other two arrays hold the
+    outcome of each untainted user in arrival order. It returns ``None``, to
+    leave everyone to the sweep, when fewer than ``_MIN_PEELED_SHARE`` of the
+    users are untainted, when nothing can decode at the code rate, and when
+    a round cap or a guard below trips.
+
+    Why the outcome is exact. On the sweep's grid ``w(k) = w0 + k*step_len``
+    let ``A_i`` be the step at which replica ``i`` is admitted (first ``k``
+    with ``s_i + t_p <= w(k) + win_len``), ``L_i`` the last step with
+    ``s_i >= w(k)``, so that ``i`` can decode only at steps in
+    ``[A_i, L_i]``, and ``E_u`` the step at which user ``u`` expires (first
+    ``k`` with ``vf_end[u] < w(k)``). All three come from the sweep's own
+    float expressions.
+
+    * The MI of replica ``i`` changes only when the owner ``v`` of its
+      partner is cancelled, by decoding or by expiry. Expiry comes too late
+      to matter: ``v`` expires once ``vf_end < w``, so every replica
+      overlapping one of ``v``'s starts before ``w`` and can no longer decode
+      (``E_v > L_i``, checked as a guard).
+    * The sweep evaluates ``i`` at ``A_i``, and again at every step in
+      ``[A_i, L_i]`` at which ``v`` decodes, since that re-queues ``i``. The
+      MI against the active partner and against none are computed here with
+      the sweep's float operations, so every ``mi >= rate`` test agrees.
+    * Hence ``i`` decodes at ``c_i = A_i`` if it decodes next to its active
+      partner or has none, else at ``c_i = max(A_i, D_v)``, and never when
+      ``c_i > L_i``. User ``u`` decodes at ``D_u = min c_i`` if that comes
+      before ``E_u``; otherwise it is lost at ``E_u``.
+    * The sweep's decode steps ``K`` solve these equations. The iteration
+      from ``D = inf`` is monotone, so it stays at or above every solution,
+      ``K`` included, and stops at a solution ``G >= K``. Conversely, go
+      through the sweep's decodes in the order it makes them: each rests on
+      a replica whose ``c_i`` uses only decodes made before it, which by
+      induction ``G`` makes no later; so ``G <= K``, and ``G = K``.
+
+    The sweep run on the tainted users alone classifies them as before:
+    neither kind of user has the other's replicas in its neighbour ranges,
+    so removing the untainted ones leaves the order of the stack operations
+    on tainted replicas, and every MI they see, unchanged.
     """
-    n_users = trace.n_users
-    if n_users == 0:
-        return (
-            np.zeros(0, dtype=bool),
-            np.zeros(0, dtype=np.float64),
-            np.zeros(0, dtype=np.int64),
-        )
-    args = sweep_inputs(trace, cfg)
-    decoded, decided_w, n_done = _kernels.sic_sweep(*args)
+    (rep_start, rep_owner, user_ptr, pos, vf_end, w0, n_steps, step_len,
+     win_len, snr, rate, t_p, nb_lo, nb_hi) = args
+    n_users = vf_end.shape[0]
+    n_rep = rep_start.shape[0]
+    # the sweep's mi_table[0] and mi_table[1]
+    mi0 = math.log2(1.0 + snr / (1.0 + 0 * snr))
+    mi1 = math.log2(1.0 + snr / (1.0 + 1 * snr))
+    if not mi0 >= rate:
+        return None
+
+    tainted = ~np.logical_and.reduceat((nb_hi - nb_lo <= 2)[pos], user_ptr[:-1])
+    if np.count_nonzero(~tainted) < n_users * _MIN_PEELED_SHARE:
+        return None
+    cand = np.flatnonzero(~tainted[rep_owner])
+    lo = nb_lo[cand]
+    hi = nb_hi[cand]
+    partner = np.where(lo == cand, hi - 1, lo)  # the replica itself if alone
+    # The neighbour relation is symmetric in exact arithmetic; where rounding
+    # breaks that around a replica, its owner is left to the sweep.
+    sym = (nb_lo[partner] <= cand) & (cand < nb_hi[partner])
+    sym &= (lo == 0) | (nb_hi[np.maximum(lo - 1, 0)] <= cand)
+    sym &= (hi == n_rep) | (nb_lo[np.minimum(hi, n_rep - 1)] > cand)
+    owner = rep_owner[cand]
+    tainted[owner[~sym]] = True
+    partner_owner = rep_owner[partner]
+    del lo, hi, sym
+    paired = np.flatnonzero(partner != cand)
+    for _ in range(_MAX_ROUNDS):
+        if n_users - np.count_nonzero(tainted) < n_users * _MIN_PEELED_SHARE:
+            return None
+        hit = paired[tainted[partner_owner[paired]] & ~tainted[owner[paired]]]
+        if hit.shape[0] == 0:
+            break
+        tainted[owner[hit]] = True
+    else:
+        return None
+    untainted = ~tainted
+    users = np.flatnonzero(untainted)  # resolved here, in arrival order
+    keep = untainted[owner]
+    cand = cand[keep]
+    partner = partner[keep]
+    number = np.cumsum(untainted) - 1  # position of each untainted user in users
+    owner = number[owner[keep]]
+    partner_owner = number[partner_owner[keep]]
+    del keep, paired, hit, number, untainted
+
+    never = n_steps  # every user expires before the sweep's last step
+    expiry = _first_step(vf_end[users], 0.0, True, w0, step_len)
+    s = rep_start[cand]
+    s_end = s + t_p
+    admit = _first_step(s_end, win_len, False, w0, step_len)
+    last = _first_step(s, 0.0, True, w0, step_len) - 1
+    # avg_mi against the one active partner, operation by operation
+    a = rep_start[partner]
+    b = np.minimum(a + t_p, s_end)
+    a = np.maximum(a, s)
+    acc = (a - s) * mi0 + (b - a) * mi1
+    acc = np.where(b < s_end, acc + (s_end - b) * mi0, acc)
+    overlap = (partner != cand) & (b > a)
+    # the first guard leaves to the sweep a trace it cannot finish (it raises)
+    if expiry.max() >= never or np.any(overlap & (expiry[partner_owner] <= last)):
+        return None
+    waits = overlap & ~(acc / t_p >= rate)  # decodes only once its partner is cancelled
+    del a, b, acc, s, s_end, overlap
+
+    # replicas that decode at admission, or never, bound D from the start;
+    # the waiting ones are iterated from D = inf
+    base = np.full(users.shape[0], never, dtype=np.int64)
+    np.minimum.at(base, owner[~waits], np.where(admit <= last, admit, never)[~waits])
+    owner = owner[waits]
+    partner_owner = partner_owner[waits]
+    admit = admit[waits]
+    last = last[waits]
+    decode_at = np.full(users.shape[0], never, dtype=np.int64)
+    for _ in range(_MAX_ROUNDS):
+        c = np.maximum(admit, decode_at[partner_owner])
+        c[c > last] = never
+        nxt = base.copy()
+        np.minimum.at(nxt, owner, c)
+        nxt[nxt >= expiry] = never
+        if np.array_equal(nxt, decode_at):
+            break
+        decode_at = nxt
+    else:
+        return None
+
+    decoded = decode_at < never
+    return tainted, decoded, w0 + np.where(decoded, decode_at, expiry) * step_len
+
+
+def _restrict(args: tuple, keep: np.ndarray) -> tuple:
+    """Sweep arguments for the users in mask ``keep`` alone, on the same step
+    grid. No replica of a kept user may have a dropped one in its neighbour
+    range, so the kept ranges map onto the kept replicas."""
+    (rep_start, rep_owner, user_ptr, pos, vf_end, w0, n_steps, step_len,
+     win_len, snr, rate, t_p, nb_lo, nb_hi) = args
+    keep_rep = keep[rep_owner]
+    rank = np.zeros(keep_rep.shape[0] + 1, dtype=np.int64)  # kept replicas before each index
+    np.cumsum(keep_rep, out=rank[1:])
+    degree = np.diff(user_ptr)
+    ptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
+    np.cumsum(degree[keep], out=ptr[1:])
+    return (
+        rep_start[keep_rep],
+        (np.cumsum(keep) - 1)[rep_owner[keep_rep]],
+        ptr,
+        rank[pos[np.repeat(keep, degree)]],
+        vf_end[keep],
+        w0,
+        n_steps,
+        step_len,
+        win_len,
+        snr,
+        rate,
+        t_p,
+        rank[nb_lo[keep_rep]],
+        rank[nb_hi[keep_rep]],
+    )
+
+
+def _sweep(args: tuple) -> tuple[np.ndarray, np.ndarray]:
+    decoded, decided_w, n_done, _ = _kernels.sic_sweep(*args)
+    n_users = args[4].shape[0]
     if n_done != n_users:
-        raise RuntimeError(
-            f"receiver sweep classified {n_done} of {n_users} users"
-        )
-    return decoded, decided_w, args[3]
+        raise RuntimeError(f"receiver sweep classified {n_done} of {n_users} users")
+    return decoded, decided_w
+
+
+def run_sic_kernel(trace: TrafficTrace, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Array receiver over one trace: :func:`peel`, then the sweep on the rest.
+
+    Returns ``(decoded, decided_w)``: a per-user boolean array and, per user,
+    the window start position at classification time.
+    """
+    if trace.n_users == 0:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.float64)
+    args = sweep_inputs(trace, cfg)
+    peeled = peel(args)
+    if peeled is None:
+        return _sweep(args)
+    rest, peeled_decoded, peeled_w = peeled
+    args = _restrict(args, rest)  # drops the full arrays before the sweep
+    swept_decoded, swept_w = _sweep(args)
+    decoded = np.empty(trace.n_users, dtype=bool)
+    decided_w = np.empty(trace.n_users)
+    decoded[rest], decided_w[rest] = swept_decoded, swept_w
+    decoded[~rest], decided_w[~rest] = peeled_decoded, peeled_w
+    return decoded, decided_w

@@ -7,6 +7,7 @@ independently seeded generators may produce traces concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,8 +148,10 @@ def generate_trace(
 ) -> TrafficTrace:
     """Poisson arrivals of intensity ``load`` over ``[0, horizon]`` with
     independently sampled degrees and replica placements."""
-    if not load > 0:
-        raise ModelError(f"load must be positive, got {load}")
+    if not (math.isfinite(load) and load > 0):
+        raise ModelError(f"load must be finite and positive, got {load}")
+    if not math.isfinite(horizon):
+        raise ModelError(f"horizon must be finite, got {horizon}")
     validate_config(cfg, dist)
     if horizon < cfg.window_length:
         raise HorizonTooShort(

@@ -237,7 +237,7 @@ def test_criterion_7_receiver_property_suite():
         mi = avg_mutual_information(build_timeline(replica, others), RHO)
         want = bool(alpha <= 1.0 - phi)
         d = 1.0 - alpha
-        decoded, _, _ = run_sic_kernel(manual_trace(S200_R15, [(0.0, 50.0), (d, 50.0 + d)]), S200_R15)
+        decoded, _ = run_sic_kernel(manual_trace(S200_R15, [(0.0, 50.0), (d, 50.0 + d)]), S200_R15)
         if is_decodable(mi, 1.5) != want or decoded.tolist() != [want, want]:
             grid_ok = False
             break

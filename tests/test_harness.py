@@ -1,7 +1,9 @@
 import io
+import math
 
 import pytest
 
+from irasim import cli
 from irasim.cli import main as cli_main
 from irasim.errorfloor import plr_floor
 from irasim.harness import (
@@ -105,6 +107,27 @@ class TestConfigFile:
                 distribution=DegreeDistribution.regular(2),
                 load_grid=(0.3, 0.2),
             )
+
+    @pytest.mark.parametrize("load", [math.inf, math.nan, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_load_rejected(self, load):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(
+                system=SystemConfig.from_db(6.0, 1.5, 20.0),
+                distribution=DegreeDistribution.regular(2),
+                load_grid=(0.1, load),
+            )
+
+    @pytest.mark.parametrize(
+        "line",
+        ["window_span = inf", "window_span = inf\nwindow_step = inf", "window_span = nan", "load_grid = 0.2 inf"],
+    )
+    def test_non_finite_config_values_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        text = CONFIG_TEXT.replace("window_span = 3\n", "").replace("window_step = 0.1\n", "")
+        path.write_text(text.replace("load_grid = 0.2 0.3\n", "") + line + "\n")
+        with pytest.raises(ConfigError):
+            parse_config_file(path)
+        assert cli_main(["predict", str(path), "--out", str(tmp_path / "floor.csv")]) == 2
 
     def test_min_users_floor(self):
         with pytest.raises(ConfigError):
@@ -282,6 +305,32 @@ class TestCli:
         argv = [command[0], str(config_file), *command[1:], "--seed", "-1"]
         assert cli_main(argv) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", [("-3", "-1"), ("-1", "2"), ("5", "4")])
+    def test_verify_ucp_bad_period_bounds(self, bounds, monkeypatch, capsys):
+        def no_count(*args):
+            raise AssertionError("counting started before the bounds were checked")
+
+        monkeypatch.setattr(cli, "count_configurations", no_count)
+        rc = cli_main(["verify-ucp", "--min-periods", bounds[0], "--max-periods", bounds[1]])
+        assert rc == 2
+        assert "periods" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("load", ["inf", "nan"])
+    def test_simulate_non_finite_load_exit_code(self, config_file, load, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_point started with a non-finite load")
+
+        monkeypatch.setattr(cli, "run_point", no_run)
+        assert cli_main(["simulate", str(config_file), "--load", load]) == 2
+        assert "load" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("load,horizon", [("inf", "50"), ("nan", "50"), ("0.2", "inf")])
+    def test_dump_trace_non_finite_exit_code(self, config_file, load, horizon, capsys):
+        # generate_trace rejects both before it draws a single arrival
+        argv = ["dump-trace", str(config_file), "--load", load, "--horizon", horizon]
+        assert cli_main(argv) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_verify_ucp_small(self, capsys):
         rc = cli_main(["verify-ucp", "--min-periods", "4", "--max-periods", "5"])

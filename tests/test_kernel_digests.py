@@ -71,7 +71,7 @@ def digest(decoded: np.ndarray, decided_w: np.ndarray) -> str:
 def record() -> None:
     table = {}
     for case_id, trace, cfg in cases():
-        decoded, decided_w, _ = run_sic_kernel(trace, cfg)
+        decoded, decided_w = run_sic_kernel(trace, cfg)
         table[case_id] = {"users": int(trace.n_users), "sha256": digest(decoded, decided_w)}
     rows = (f"{json.dumps(k)}: {json.dumps(table[k], sort_keys=True)}" for k in sorted(table))
     DIGESTS.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
@@ -86,7 +86,7 @@ def test_kernel_reproduces_recorded_digests():
         seen.add(case_id)
         want = recorded[case_id]
         assert trace.n_users == want["users"], f"{case_id}: trace changed"
-        decoded, decided_w, _ = run_sic_kernel(trace, cfg)
+        decoded, decided_w = run_sic_kernel(trace, cfg)
         if digest(decoded, decided_w) != want["sha256"]:
             mismatches.append(case_id)
     assert seen == set(recorded)
@@ -99,8 +99,8 @@ def test_plain_sweep_accepts_numpy_arrays_and_memoryviews():
         trace = generate_trace(cfg, mix, 0.75, HORIZON, np.random.default_rng(5))
         args = sweep_inputs(trace, cfg)
         views = tuple(memoryview(a) if isinstance(a, np.ndarray) else a for a in args)
-        dec_a, w_a, n_a = _kernels.sic_sweep_python(*args)
-        dec_b, w_b, n_b = _kernels.sic_sweep_python(*views)
+        dec_a, w_a, n_a, _ = _kernels.sic_sweep_python(*args)
+        dec_b, w_b, n_b, _ = _kernels.sic_sweep_python(*views)
         assert n_a == n_b == trace.n_users, sys_name
         assert digest(dec_a, w_a) == digest(dec_b, w_b), sys_name
 

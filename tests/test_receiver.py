@@ -148,7 +148,7 @@ def test_fixed_point_order_independence():
 
 def test_kernel_reports_decision_window(cfg200):
     trace = manual_trace(cfg200, [(0.0, 50.0), (0.3, 50.3), (500.0, 550.0)])
-    decoded, decided_w, _ = run_sic_kernel(trace, cfg200)
+    decoded, decided_w = run_sic_kernel(trace, cfg200)
     assert decoded.tolist() == [False, False, True]
     assert np.all(np.isfinite(decided_w))
     # the stuck pair is declared lost once their frames leave the window
