@@ -13,27 +13,12 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .errorfloor import (
-    FloorError,
-    builtin_catalog,
-    count_configurations,
-    load_catalog,
-)
-from .harness import (
-    ConfigError,
-    check_load,
-    parse_config_file,
-    point_seed,
-    predict,
-    run_point,
-    sweep,
-    wilson_interval,
-)
-from .errorfloor import floor_params, plr_floor
-from .harness import PlrCurve, PlrRow
+from .errorfloor import FloorError, builtin_catalog, count_configurations, load_catalog
+from .harness import ConfigError, parse_config_file, predict, sweep
 from .model import ModelError
 from .traffic import generate_trace
 
@@ -46,11 +31,7 @@ def _add_common_sim_args(p: argparse.ArgumentParser) -> None:
 
 
 def _apply_seed(cfg, seed):
-    if seed is None:
-        return cfg
-    from dataclasses import replace
-
-    return replace(cfg, seed=seed)
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def _cmd_predict(args) -> int:
@@ -76,25 +57,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _apply_seed(parse_config_file(args.config), args.seed)
-    load = args.load
-    check_load(load)
+    # a one-point sweep: row 0 draws from point_seed(seed, 0)
+    cfg = replace(_apply_seed(parse_config_file(args.config), args.seed), load_grid=(args.load,))
     sink = None
     if args.dump_outcomes:
         _ensure_parent(args.dump_outcomes)
         sink = open(args.dump_outcomes, "w", encoding="utf-8")
         sink.write("user_id,degree,outcome,window_start\n")
     try:
-        users, lost = run_point(cfg, load, point_seed(cfg.seed, 0), jobs=args.jobs, outcome_sink=sink)
+        curve = sweep(cfg, jobs=args.jobs, outcome_sink=sink)
     finally:
         if sink is not None:
             sink.close()
-    plr = lost / users
-    lo, hi = wilson_interval(lost, users, 0.95)
-    analytic = plr_floor(load, cfg.system, cfg.distribution)
-    params = floor_params(cfg.system)
-    row = PlrRow(load=load, users=users, lost=lost, plr_sim=plr, ci_lo=lo, ci_hi=hi, plr_analytic=analytic)
-    curve = PlrCurve(rows=(row,), params=params)
     curve.to_csv(sys.stdout)
     if args.out:
         _ensure_parent(args.out)

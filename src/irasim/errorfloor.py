@@ -102,10 +102,6 @@ class CollisionPattern:
     def total_replicas(self) -> int:
         return sum(l * c for l, c in enumerate(self.profile, start=1))
 
-    @property
-    def max_degree(self) -> int:
-        return max((l for l, c in enumerate(self.profile, start=1) if c), default=0)
-
     def degree_list(self) -> list[int]:
         return [l for l, c in enumerate(self.profile, start=1) for _ in range(c)]
 
@@ -239,10 +235,6 @@ def edge_assignment_count(n_v: int, profile) -> int | float:
     return prod // n_v
 
 
-# diagnostic: how often the per-term probability had to be clamped into [0, 1]
-_CLAMP_KEY = "clamped_terms"
-
-
 def prob_user_in_pattern(
     m: int,
     pattern: CollisionPattern,
@@ -258,10 +250,16 @@ def prob_user_in_pattern(
     total = edge_assignment_count(n_v, pattern.profile)
     # exact big-integer ratio, converted to float only at the end
     pr = sel * pattern.iso_count * pattern.num_users * (periods / (m * total))
-    if pr > 1.0 or pr < 0.0:
+    return _clamp(pr, diagnostics)
+
+
+def _clamp(pr: float, diagnostics: dict | None) -> float:
+    """Cap one per-pattern term at 1, counting each cap in ``clamped_terms``;
+    every factor of a term is non-negative, so no lower cap is needed."""
+    if pr > 1.0:
         if diagnostics is not None:
-            diagnostics[_CLAMP_KEY] = diagnostics.get(_CLAMP_KEY, 0) + 1
-        pr = min(1.0, max(0.0, pr))
+            diagnostics["clamped_terms"] = diagnostics.get("clamped_terms", 0) + 1
+        return 1.0
     return pr
 
 
@@ -274,6 +272,27 @@ def pattern_feasible(pattern: CollisionPattern, dist: DegreeDistribution, n_v: i
         if cnt and dist.prob(l) <= 0.0:
             return False
     return True
+
+
+def _floor_setup(
+    cfg: SystemConfig,
+    dist: DegreeDistribution,
+    catalog: tuple[CollisionPattern, ...] | None,
+    diagnostics: dict | None,
+) -> tuple[int, list[CollisionPattern]]:
+    """``n_v`` and the patterns of ``catalog`` (default: builtin) feasible for
+    ``dist``. With ``phi = 0`` no floor exists: ``n_v`` is 0 and no pattern fits."""
+    if catalog is None:
+        catalog = builtin_catalog()
+    if not catalog:
+        raise FloorError("pattern catalog is empty")
+    params = floor_params(cfg)
+    feasible = [s for s in catalog if pattern_feasible(s, dist, params.n_v)]
+    if diagnostics is not None:
+        diagnostics["phi"] = params.phi
+        diagnostics["n_v"] = params.n_v
+        diagnostics["patterns"] = [s.name for s in feasible]
+    return params.n_v, feasible
 
 
 def _poisson_log_pmf(m: int, lam: float) -> float:
@@ -333,19 +352,7 @@ def plr_floor(
     user belongs to an unresolvable pattern. Returns 0 when one interferer
     can never kill a packet (``phi = 0``).
     """
-    if catalog is None:
-        catalog = builtin_catalog()
-    if not catalog:
-        raise FloorError("pattern catalog is empty")
-    phi = vulnerable_fraction(cfg.snr_linear, cfg.rate)
-    if phi == 0.0:
-        return 0.0
-    n_v = vp_count(cfg.vf_span, phi, cfg.packet_duration)
-    feasible = [s for s in catalog if pattern_feasible(s, dist, n_v)]
-    if diagnostics is not None:
-        diagnostics["phi"] = phi
-        diagnostics["n_v"] = n_v
-        diagnostics["patterns"] = [s.name for s in feasible]
+    n_v, feasible = _floor_setup(cfg, dist, catalog, diagnostics)
     if not feasible:
         return 0.0
     lam = cfg.vf_span * load
@@ -371,14 +378,7 @@ def plr_regular(
     The user-selection and placement counts collapse to pure binomials, and
     every per-term probability becomes an exact integer ratio.
     """
-    if catalog is None:
-        catalog = builtin_catalog()
-    dist = DegreeDistribution.regular(degree)
-    phi = vulnerable_fraction(cfg.snr_linear, cfg.rate)
-    if phi == 0.0:
-        return 0.0
-    n_v = vp_count(cfg.vf_span, phi, cfg.packet_duration)
-    feasible = [s for s in catalog if pattern_feasible(s, dist, n_v)]
+    n_v, feasible = _floor_setup(cfg, DegreeDistribution.regular(degree), catalog, diagnostics)
     if not feasible:
         return 0.0
     lam = cfg.vf_span * load
@@ -390,12 +390,7 @@ def plr_regular(
             nu = s.num_users
             num = nu * math.comb(m, nu) * math.comb(n_v - 1, s.num_sets - 1) * s.iso_count * n_v
             den = m * placements**nu
-            pr = num / den
-            if pr > 1.0:
-                if diagnostics is not None:
-                    diagnostics[_CLAMP_KEY] = diagnostics.get(_CLAMP_KEY, 0) + 1
-                pr = 1.0
-            acc += pr
+            acc += _clamp(num / den, diagnostics)
         return acc
 
     return _mix_over_poisson(lam, per_m, margin_terms, diagnostics)
@@ -415,22 +410,15 @@ def plr_two_user(
     For ``degree = 2`` this sum has the closed form
     ``(n_p G - 1 + exp(-n_p G)) / (n_v (n_v - 1))``.
     """
-    phi = vulnerable_fraction(cfg.snr_linear, cfg.rate)
-    if phi == 0.0:
-        return 0.0
-    n_v = vp_count(cfg.vf_span, phi, cfg.packet_duration)
-    if degree > n_v:
+    pair = (two_user_pattern(degree),)
+    n_v, feasible = _floor_setup(cfg, DegreeDistribution.regular(degree), pair, diagnostics)
+    if not feasible:
         return 0.0
     lam = cfg.vf_span * load
     den_base = n_v * math.comb(n_v - 1, degree - 1)
 
     def per_m(m: int) -> float:
-        pr = (2 * math.comb(m, 2)) / (m * den_base)
-        if pr > 1.0:
-            if diagnostics is not None:
-                diagnostics[_CLAMP_KEY] = diagnostics.get(_CLAMP_KEY, 0) + 1
-            pr = 1.0
-        return pr
+        return _clamp((2 * math.comb(m, 2)) / (m * den_base), diagnostics)
 
     return _mix_over_poisson(lam, per_m, margin_terms, diagnostics)
 

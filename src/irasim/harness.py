@@ -7,13 +7,23 @@ byte-identical result file regardless of worker count. Batch ``b`` of load
 point ``i`` draws from ``SeedSequence(entropy=point_seed, spawn_key=(b,))``
 where ``point_seed = SeedSequence(entropy=config.seed, spawn_key=(i,))``
 folded to 64 bits, and batch results are reduced strictly in batch order.
+
+Each load point is one ordered stream of batches. With ``jobs > 1``, one
+process pool serves the whole sweep and keeps ``jobs`` batches of the
+current point in flight; with ``jobs <= 1`` each batch runs inline, in the
+calling thread. After every reduced batch the stop rule is tested: at least
+``min_users_per_point`` counted users, or ``max_lost_events`` losses over at
+least ``MIN_USERS_FOR_EARLY_STOP`` users. Once it holds, the batches still in
+flight are dropped unread, so the result is the same reduced prefix for
+every worker count.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -31,15 +41,15 @@ BATCH_VF_COUNT = 200
 #: Hard floor on simulated users before the lost-event early stop may fire.
 MIN_USERS_FOR_EARLY_STOP = 100_000
 
+#: Cap on the batches a load point is expected to need for
+#: ``min_users_per_point``; a tiny load would otherwise draw millions of
+#: nearly empty batches. The largest expectation in the shipped configs, the
+#: tests and the benchmark is under 840 batches.
+MAX_EXPECTED_BATCHES = 100_000
+
 
 class ConfigError(ValueError):
     pass
-
-
-def check_load(load: float) -> None:
-    """Raise :class:`ConfigError` unless ``load`` is finite and positive."""
-    if not (math.isfinite(load) and load > 0):
-        raise ConfigError(f"loads must be finite and strictly positive, got {load}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +66,16 @@ class ExperimentConfig:
         object.__setattr__(self, "load_grid", tuple(float(g) for g in self.load_grid))
         if not self.load_grid:
             raise ConfigError("load grid is empty")
+        users_per_batch = (BATCH_VF_COUNT - 1) * self.system.vf_duration
         for g in self.load_grid:
-            check_load(g)
+            if not (math.isfinite(g) and g > 0):
+                raise ConfigError(f"loads must be finite and strictly positive, got {g}")
+            batches = self.min_users_per_point / (g * users_per_batch)
+            if batches > MAX_EXPECTED_BATCHES:
+                raise ConfigError(
+                    f"load {g} needs about {batches:.3g} batches for "
+                    f"{self.min_users_per_point} users, more than {MAX_EXPECTED_BATCHES}"
+                )
         if list(self.load_grid) != sorted(self.load_grid):
             raise ConfigError("load grid must be sorted ascending")
         if self.min_users_per_point < 10_000:
@@ -128,7 +146,6 @@ def point_seed(master_seed: int, point_index: int) -> int:
 
 @dataclass(frozen=True)
 class BatchResult:
-    batch_index: int
     users: int
     lost: int
     n_trace_users: int
@@ -169,12 +186,63 @@ def _simulate_batch(
             for u in np.nonzero(interior)[0]
         )
     return BatchResult(
-        batch_index=batch_index,
         users=users,
         lost=lost,
         n_trace_users=trace.n_users,
         outcome_rows=rows,
     )
+
+
+class _InlineExecutor(Executor):
+    """Runs each batch at submission in the calling thread, so ``jobs <= 1``
+    starts no process and no thread."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def _batch_executor(jobs: int) -> Executor:
+    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else _InlineExecutor()
+
+
+def _run_stream(
+    cfg: ExperimentConfig,
+    load: float,
+    seed: int,
+    executor: Executor,
+    jobs: int,
+    outcome_sink,
+) -> tuple[int, int]:
+    """The ordered batch stream of one load point (see the module docstring)."""
+    users = 0
+    lost = 0
+    id_offset = 0
+    collect = outcome_sink is not None
+    in_flight: deque[Future] = deque()
+    next_batch = 0
+    while True:
+        while len(in_flight) < max(jobs, 1):
+            in_flight.append(
+                executor.submit(
+                    _simulate_batch, cfg.system, cfg.distribution, load, seed, next_batch, collect
+                )
+            )
+            next_batch += 1
+        result = in_flight.popleft().result()
+        users += result.users
+        lost += result.lost
+        if collect:
+            for uid, deg, outcome, w in result.outcome_rows:
+                outcome_sink.write(f"{id_offset + uid},{deg},{outcome},{w:.12g}\n")
+        id_offset += result.n_trace_users
+        if users >= cfg.min_users_per_point or (
+            lost >= cfg.max_lost_events and users >= MIN_USERS_FOR_EARLY_STOP
+        ):
+            for future in in_flight:
+                future.cancel()
+            return users, lost
 
 
 def run_point(
@@ -191,47 +259,8 @@ def run_point(
     ``max_lost_events`` losses accumulated over at least 10^5 users. The
     result is deterministic in (config, seed) and independent of ``jobs``.
     """
-    users = 0
-    lost = 0
-    id_offset = 0
-
-    def stop() -> bool:
-        return users >= cfg.min_users_per_point or (
-            lost >= cfg.max_lost_events and users >= MIN_USERS_FOR_EARLY_STOP
-        )
-
-    def reduce(result: BatchResult) -> None:
-        nonlocal users, lost, id_offset
-        users += result.users
-        lost += result.lost
-        if outcome_sink is not None:
-            for uid, deg, outcome, w in result.outcome_rows:
-                outcome_sink.write(f"{id_offset + uid},{deg},{outcome},{w:.12g}\n")
-        id_offset += result.n_trace_users
-
-    collect = outcome_sink is not None
-    if jobs <= 1:
-        b = 0
-        while not stop():
-            reduce(_simulate_batch(cfg.system, cfg.distribution, load, seed, b, collect))
-            b += 1
-        return users, lost
-
-    next_batch = 0
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        while not stop():
-            wave = [
-                pool.submit(
-                    _simulate_batch, cfg.system, cfg.distribution, load, seed, next_batch + k, collect
-                )
-                for k in range(jobs)
-            ]
-            next_batch += jobs
-            for fut in wave:  # reduce in submission order, drop the tail once done
-                result = fut.result()
-                if not stop():
-                    reduce(result)
-    return users, lost
+    with _batch_executor(jobs) as executor:
+        return _run_stream(cfg, load, seed, executor, jobs, outcome_sink)
 
 
 def sweep(
@@ -239,18 +268,24 @@ def sweep(
     *,
     jobs: int = 1,
     catalog: tuple[CollisionPattern, ...] | None = None,
+    outcome_sink=None,
 ) -> PlrCurve:
-    """Simulate every grid load and attach the analytic floor prediction."""
+    """Simulate every grid load and attach the analytic floor prediction.
+
+    ``outcome_sink`` receives each point's per-user outcome lines in grid
+    order; user ids restart at 0 for every point.
+    """
     params = floor_params(cfg.system)
     rows = []
-    for i, g in enumerate(cfg.load_grid):
-        users, lost = run_point(cfg, g, point_seed(cfg.seed, i), jobs=jobs)
-        plr = lost / users
-        lo, hi = wilson_interval(lost, users, 0.95)
-        analytic = plr_floor(g, cfg.system, cfg.distribution, catalog)
-        rows.append(
-            PlrRow(load=g, users=users, lost=lost, plr_sim=plr, ci_lo=lo, ci_hi=hi, plr_analytic=analytic)
-        )
+    with _batch_executor(jobs) as executor:
+        for i, g in enumerate(cfg.load_grid):
+            users, lost = _run_stream(cfg, g, point_seed(cfg.seed, i), executor, jobs, outcome_sink)
+            plr = lost / users
+            lo, hi = wilson_interval(lost, users, 0.95)
+            analytic = plr_floor(g, cfg.system, cfg.distribution, catalog)
+            rows.append(
+                PlrRow(load=g, users=users, lost=lost, plr_sim=plr, ci_lo=lo, ci_hi=hi, plr_analytic=analytic)
+            )
     return PlrCurve(rows=tuple(rows), params=params)
 
 

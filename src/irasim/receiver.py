@@ -49,14 +49,6 @@ class ReceiverState:
     lost_users: set[int] = field(default_factory=set)
     packet_duration: float = 1.0
 
-    @property
-    def active_replicas(self) -> list[tuple[int, TimeInterval]]:
-        return [
-            (int(self.rep_owner[i]), TimeInterval(s, s + self.packet_duration))
-            for i, s in enumerate(self.rep_start)
-            if self.active[i]
-        ]
-
     def fully_windowed(self, i: int) -> bool:
         s = self.rep_start[i]
         return s >= self.window.begin and s + self.packet_duration <= self.window.end

@@ -32,6 +32,11 @@ class HorizonTooShort(ModelError):
 
 _ARRIVAL_CHUNK = 8192
 
+#: Cap on the expected users ``load * horizon`` of one trace, checked before
+#: any draw. The largest trace in the shipped configs, the tests and the
+#: benchmark holds about 31k users (load 0.75 over a 200-frame batch).
+MAX_TRACE_USERS = 5_000_000
+
 
 def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
     """Draw one repetition degree from ``dist``."""
@@ -152,6 +157,8 @@ def generate_trace(
         raise ModelError(f"load must be finite and positive, got {load}")
     if not math.isfinite(horizon):
         raise ModelError(f"horizon must be finite, got {horizon}")
+    if load * horizon > MAX_TRACE_USERS:
+        raise ModelError(f"load * horizon = {load * horizon:.3g} users, more than {MAX_TRACE_USERS}")
     validate_config(cfg, dist)
     if horizon < cfg.window_length:
         raise HorizonTooShort(

@@ -192,6 +192,41 @@ class TestSpecialisations:
             b = plr_two_user(g, cfg_tf200_r15, degree)
             assert b == pytest.approx(a, rel=1e-12)
 
+    @pytest.mark.parametrize("vf_span,n_v", [(4.0, 2), (6.0, 3)])
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_clamped_regime(self, vf_span, n_v, degree):
+        # with only 2-3 vulnerable periods most per-m terms exceed 1 and are
+        # capped; the three forms must cap the same terms
+        cfg = SystemConfig.from_db(6.0, 2.0, vf_span)
+        assert floor_params(cfg).n_v == n_v
+        dist = DegreeDistribution.regular(degree)
+        single = (two_user_pattern(degree),)
+        clamped = 0
+        for g in (0.1, 1.0, 3.0):
+            diags = [{}, {}, {}, {}]
+            full = plr_floor(g, cfg, dist, diagnostics=diags[0])
+            reg = plr_regular(g, cfg, degree, diagnostics=diags[1])
+            two_ref = plr_floor(g, cfg, dist, single, diagnostics=diags[2])
+            two = plr_two_user(g, cfg, degree, diagnostics=diags[3])
+            assert reg == pytest.approx(full, rel=1e-12)
+            assert two == pytest.approx(two_ref, rel=1e-12)
+            counts = [d.get("clamped_terms", 0) for d in diags]
+            assert counts[0] == counts[1] and counts[2] == counts[3]
+            clamped += counts[0] + counts[2]
+        assert clamped > 0 or degree > n_v
+
+    @pytest.mark.parametrize("vf_span,n_v", [(4.0, 2), (6.0, 3)])
+    def test_two_user_clamped_closed_form(self, vf_span, n_v):
+        # degree 2: the m-user term (m - 1) / (n_v (n_v - 1)) reaches 1 at
+        # m = k and is capped there, so every m >= k contributes its whole mass
+        cfg = SystemConfig.from_db(6.0, 2.0, vf_span)
+        k = n_v * (n_v - 1) + 1
+        for g in (0.1, 1.0, 3.0):
+            lam = vf_span * g
+            pm = [math.exp(-lam) * lam**m / math.factorial(m) for m in range(k)]
+            closed = sum(p * (m - 1) / (k - 1) for m, p in enumerate(pm) if m >= 2) + 1.0 - sum(pm)
+            assert plr_two_user(g, cfg, 2) == pytest.approx(closed, rel=1e-12)
+
     def test_two_user_closed_form(self, cfg_tf200_r15):
         got = plr_two_user(0.1, cfg_tf200_r15, 2)
         closed = two_user_closed_form(0.1, 200, 225)

@@ -3,10 +3,11 @@ import math
 
 import pytest
 
-from irasim import cli
+from irasim import cli, harness
 from irasim.cli import main as cli_main
 from irasim.errorfloor import plr_floor
 from irasim.harness import (
+    MAX_EXPECTED_BATCHES,
     ConfigError,
     ExperimentConfig,
     parse_config_file,
@@ -16,7 +17,8 @@ from irasim.harness import (
     sweep,
     wilson_interval,
 )
-from irasim.model import DegreeDistribution, SystemConfig
+from irasim.model import DegreeDistribution, ModelError, SystemConfig
+from irasim.traffic import MAX_TRACE_USERS, generate_trace
 
 CONFIG_TEXT = """\
 # two-replica scenario on a short frame, sized for fast tests
@@ -39,6 +41,27 @@ def config_file(tmp_path):
     path = tmp_path / "short.cfg"
     path.write_text(CONFIG_TEXT)
     return path
+
+
+@pytest.fixture()
+def no_batches(monkeypatch):
+    """Fail the test if a Monte Carlo batch starts."""
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch started before the input was rejected")
+
+    monkeypatch.setattr(harness, "_simulate_batch", no_batch)
+
+
+class _NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} called before the input was rejected")
+
+
+@pytest.fixture()
+def no_draws(monkeypatch):
+    """Hand every new generator a stand-in that fails on its first draw."""
+    monkeypatch.setattr("numpy.random.default_rng", lambda *args, **kwargs: _NoDraws())
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +152,24 @@ class TestConfigFile:
             parse_config_file(path)
         assert cli_main(["predict", str(path), "--out", str(tmp_path / "floor.csv")]) == 2
 
+    def test_batch_count_cap(self):
+        system = SystemConfig.from_db(6.0, 1.5, 20.0)
+
+        def make(load, min_users=10_000):
+            return ExperimentConfig(
+                system=system,
+                distribution=DegreeDistribution.regular(2),
+                load_grid=(load,),
+                min_users_per_point=min_users,
+            )
+
+        # the load at which 10^4 users take MAX_EXPECTED_BATCHES batches
+        edge = 10_000 / (MAX_EXPECTED_BATCHES * (harness.BATCH_VF_COUNT - 1) * system.vf_duration)
+        make(edge * 1.000001)
+        for load, min_users in [(edge * 0.999999, 10_000), (1e-9, 10_000), (0.2, 10**12)]:
+            with pytest.raises(ConfigError, match="batches"):
+                make(load, min_users)
+
     def test_min_users_floor(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(
@@ -147,6 +188,42 @@ class TestRunPoint:
     def test_worker_count_invariant(self, fast_cfg):
         s = point_seed(fast_cfg.seed, 0)
         assert run_point(fast_cfg, 0.2, s, jobs=1) == run_point(fast_cfg, 0.2, s, jobs=3)
+
+    def test_lost_event_stop_worker_count_invariant(self):
+        # the early stop fires a few batches past 10^5 users, in the middle
+        # of the batches a pool keeps in flight
+        cfg = ExperimentConfig(
+            system=SystemConfig.from_db(6.0, 1.5, 20.0),
+            distribution=DegreeDistribution.regular(2),
+            load_grid=(0.3,),
+            min_users_per_point=10**6,
+            max_lost_events=50,
+            seed=99,
+        )
+        s = point_seed(cfg.seed, 0)
+        results = [run_point(cfg, 0.3, s, jobs=j) for j in (1, 2, 3)]
+        assert results == [(101_164, 2_108)] * 3
+
+    def test_inline_without_pool(self, fast_cfg, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("jobs <= 1 started a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        s = point_seed(fast_cfg.seed, 0)
+        assert run_point(fast_cfg, 0.2, s, jobs=0) == run_point(fast_cfg, 0.2, s, jobs=1)
+        assert len(sweep(fast_cfg, jobs=1).rows) == 2
+
+    def test_one_pool_per_sweep(self, fast_cfg, monkeypatch):
+        pools = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        assert sweep(fast_cfg, jobs=2).rows == sweep(fast_cfg, jobs=1).rows
+        assert len(pools) == 1
 
     def test_tiny_load_rarely_loses(self):
         cfg = ExperimentConfig(
@@ -317,13 +394,37 @@ class TestCli:
         assert "periods" in capsys.readouterr().err
 
     @pytest.mark.parametrize("load", ["inf", "nan"])
-    def test_simulate_non_finite_load_exit_code(self, config_file, load, monkeypatch, capsys):
-        def no_run(*args, **kwargs):
-            raise AssertionError("run_point started with a non-finite load")
-
-        monkeypatch.setattr(cli, "run_point", no_run)
+    def test_simulate_non_finite_load_exit_code(self, config_file, load, no_batches, capsys):
         assert cli_main(["simulate", str(config_file), "--load", load]) == 2
         assert "load" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid,command", [("0.2 0.3", ["simulate", "--load", "1e-9"]), ("1e-9 0.2", ["sweep"])]
+    )
+    def test_tiny_load_exit_code(self, config_file, grid, command, no_batches, capsys):
+        # about 2.5e9 nearly empty batches would be needed for 10^4 users
+        config_file.write_text(CONFIG_TEXT.replace("0.2 0.3", grid))
+        assert cli_main([command[0], str(config_file), *command[1:]]) == 2
+        assert "batches" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "--load", "1e6"],
+            ["simulate", "--load", "1e6", "--jobs", "2"],
+            ["dump-trace", "--load", "1", "--horizon", "1e12"],
+        ],
+    )
+    def test_huge_trace_exit_code(self, config_file, command, no_draws, capsys):
+        # simulate: 1e6 arrivals per packet over a 4120-packet batch, 4e9 users
+        assert cli_main([command[0], str(config_file), *command[1:]]) == 2
+        assert "users" in capsys.readouterr().err
+
+    def test_huge_trace_rejected_before_drawing(self):
+        cfg = SystemConfig.from_db(6.0, 1.5, 20.0)
+        dist = DegreeDistribution.regular(2)
+        with pytest.raises(ModelError, match="users"):
+            generate_trace(cfg, dist, 1.0, 2.0 * MAX_TRACE_USERS, _NoDraws())
 
     @pytest.mark.parametrize("load,horizon", [("inf", "50"), ("nan", "50"), ("0.2", "inf")])
     def test_dump_trace_non_finite_exit_code(self, config_file, load, horizon, capsys):
@@ -359,6 +460,24 @@ class TestCli:
         assert lines[0] == "user_id,degree,outcome,window_start"
         assert len(lines) > 1
         assert lines[1].split(",")[2] in ("decoded", "lost")
+
+    def test_simulate_outcome_dump_worker_count_invariant(self, config_file, tmp_path, capsys):
+        argv = ["simulate", str(config_file), "--load", "0.3"]
+        assert cli_main(argv) == 0
+        row = capsys.readouterr().out
+        outs = [tmp_path / f"outcomes_{j}.csv" for j in (1, 2)]
+        for j, out in zip((1, 2), outs):
+            assert cli_main(argv + ["--jobs", str(j), "--dump-outcomes", str(out)]) == 0
+            assert capsys.readouterr().out == row
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_simulate_equals_one_point_sweep(self, config_file, tmp_path, capsys):
+        assert cli_main(["simulate", str(config_file), "--load", "0.3"]) == 0
+        simulated = capsys.readouterr().out
+        config_file.write_text(CONFIG_TEXT.replace("load_grid = 0.2 0.3", "load_grid = 0.3"))
+        out = tmp_path / "curve.csv"
+        assert cli_main(["sweep", str(config_file), "--out", str(out)]) == 0
+        assert simulated == out.read_text()
 
     def test_seed_override_changes_result(self, config_file, tmp_path):
         out_a = tmp_path / "a.csv"
