@@ -9,6 +9,10 @@ step grid. The receiver and the sweep alone must classify every user
 identically, and so must the compiled and plain builds of the sweep (see
 irasim._kernels).
 
+A last row times the active sweep on an irr1 trace (degrees 2/3/5) at
+G=0.75 with and without its fatal pre-test (``rad = 0`` and zero counts),
+on the same trace, and asserts that both classify every user identically.
+
 Usage: python benchmarks/bench_receiver.py [--users 20000] [--loads 0.05 0.1 0.3]
 """
 
@@ -93,6 +97,20 @@ def main():
             same_w = np.array_equal(comp[1], plain[1], equal_nan=True)
             assert np.array_equal(comp[0], plain[0]) and same_w, "paths disagree"
         print(f"  receiver vs python sweep alone: {t_plain / t_recv:.2f}x (identical classifications)")
+
+    load = 0.75
+    irr1 = DegreeDistribution.from_pairs([(2, 0.263), (3, 0.344), (5, 0.393)])
+    trace = generate_trace(cfg, irr1, load, args.users / load, np.random.default_rng(1))
+    with_test = sweep_inputs(trace, cfg)
+    without = with_test[:12] + (0.0, np.zeros_like(with_test[13])) + with_test[14:]
+    print(f"irr1 load {load:g}: {trace.n_users} users, {trace.n_replicas} replicas, "
+          f"{np.mean(with_test[13] > 0):.1%} start with a fatal neighbour")
+    t_on, on = best_of(args.repeat, lambda: _kernels.sic_sweep(*with_test))
+    line("sweep, fatal pre-test", t_on, trace.n_users, on[3], with_test[6])
+    t_off, off = best_of(args.repeat, lambda: _kernels.sic_sweep(*without))
+    line("sweep without it", t_off, trace.n_users, off[3], with_test[6])
+    assert np.array_equal(on[0], off[0]) and np.array_equal(on[1], off[1]), "pre-test changed outcomes"
+    print(f"  fatal pre-test: {t_off / t_on:.2f}x (identical classifications)")
 
 
 if __name__ == "__main__":

@@ -27,6 +27,56 @@ tests. This matters when the receiver has resolved most users of a sparse
 trace beforehand (``receiver.peel``) and sweeps the few that remain on the
 full trace's step grid. The sweep returns ``(decoded, decided_w,
 n_classified, n_visited)``, the last being the number of steps executed.
+
+Fatal pre-test. One equal-power interferer starting less than ``phi * t_p``
+from a replica keeps the replica's average MI below the rate (``phi`` from
+``channel.clean_fraction``), and more interferers only lower it. The caller
+passes a radius ``rad`` a little below ``phi * t_p`` and, per replica ``i``,
+the size ``n_fatal[i]`` of its fatal set ``F(i) = {j != i : s_j >
+fl(s_i - rad) and s_j < fl(s_i + rad)}`` (``s`` = ``rep_start``, ``fl`` =
+float64 rounding; two ``searchsorted`` calls). The sweep keeps, on a copy,
+``n_fatal[i]`` equal to the number of *active* replicas in ``F(i)`` for
+every replica that can still be evaluated (active, not yet behind the
+window start), and never below it: when the owner of ``r`` is cancelled,
+by decoding or by expiry, it decrements ``n_fatal[nb]`` for the ``nb`` in
+``r``'s neighbour range with ``s_r > s_nb - rad and s_r < s_nb + rad``, the
+same float expressions. A decode skips the neighbours that can no longer be
+evaluated, and the queued ones, whose count is already zero. A replica with
+a positive count is never pushed, neither at admission nor when a neighbour
+decodes; it is pushed once a decode brings its count to zero.
+Only evaluations that fail are dropped, and every replica is still
+evaluated after the last decode in the step that raises its MI; since
+cancelling only raises the MI, each step decodes the same set of users, so
+``decoded`` and ``decided_w`` are bit-identical to the sweep without the
+test (``rad = 0`` with zero counts, which ``receiver`` also passes when the
+test is off).
+
+Why the test is sound in float64. Let ``u = 2**-53``, ``S`` the largest
+``|s_i|`` plus ``t_p``, ``e = ulp(S)`` (every rounded position errs by at
+most ``e/2``), ``m_k`` the sweep's ``mi_table`` (``m_0 = I0``, ``m_1 = I1``
+bit for bit as in ``clean_fraction``; correctly rounded, monotone
+operations make ``m_k`` non-increasing), ``N`` the largest neighbour range
+and ``margin = phi * t_p * 1e-9``, ``rad = phi * t_p - margin``.
+
+* ``j`` in ``F(i)`` means ``|s_j - s_i| < rad + e/2``. As ``rad <= t_p -
+  margin``, ``j`` lies in ``i``'s neighbour range and ``i`` in ``j``'s once
+  ``margin > e + u*t_p``: every count starts and is decremented exactly.
+* With ``j`` in ``F(i)`` active, ``avg_mi`` sees ``j`` with a positive
+  overlap. On the rounded positions it uses, the clean part of ``i`` is at
+  most ``|s_j - s_i| + e`` long, everything else carries at least one
+  interferer, so the exact sum over those positions is below ``(t_p + e/2)
+  * m_1 + (rad + 1.5e) * (m_0 - m_1)``. With ``phi * (m_0 - m_1) <= (rate
+  - m_1) * (1 + 4u)`` (the rounded quotient) and the summation error of at
+  most ``2N + 1`` segments, ``avg_mi < rate`` whenever ``margin`` exceeds
+  ``err = 2(e + u*t_p) + (e*m_1 + 8u*t_p*((2N + 1)*m_0 + rate)) / (m_0 -
+  m_1)``.
+
+``receiver.with_fatal_counts`` switches the test off (``rad = 0``) unless
+``margin > 2 * err``, and when ``phi = 0``. At 6 dB and rate 1.5 on the
+benchmark's traces (``S`` about 4e4) ``err`` is about 2e-11 against a
+margin of 4.4e-10; the test stays on up to ``S`` about 5e5, and near ``S =
+1e9`` the position rounding alone exceeds the margin. ``phi = 1`` (rate at
+or above ``I0``) makes every overlap of more than ``margin`` fatal.
 """
 
 from __future__ import annotations
@@ -123,6 +173,8 @@ def _build_sweep(jit, view):
         snr,
         rate,
         t_p,
+        rad,
+        n_fatal,
         nb_lo,
         nb_hi,
     ):
@@ -139,6 +191,7 @@ def _build_sweep(jit, view):
         vf_end = view(vf_end)
         nb_lo = view(nb_lo)
         nb_hi = view(nb_hi)
+        n_fatal = view(np.copy(n_fatal))  # the inputs stay reusable
         decoded_out = np.zeros(n_user, np.bool_)
         decided_w_out = np.full(n_user, np.nan)
         decoded = view(decoded_out)
@@ -171,20 +224,29 @@ def _build_sweep(jit, view):
                     decided_w[u] = w
                     n_done += 1
                     for jj in range(user_ptr[u], user_ptr[u + 1]):
-                        active[rep_of_user[jj]] = False
+                        r = rep_of_user[jj]
+                        active[r] = False
+                        if rad > 0.0:
+                            s_r = rep_start[r]
+                            for nb in range(nb_lo[r], nb_hi[r]):
+                                if nb != r and s_r > rep_start[nb] - rad and s_r < rep_start[nb] + rad:
+                                    n_fatal[nb] -= 1
                 trail += 1
 
-            # replicas newly contained in the window become candidates
+            # replicas newly contained in the window become candidates, unless
+            # a fatal neighbour is still active; counts only fall, so no
+            # queued replica ever has one
             while admit < n_rep and rep_start[admit] + t_p <= w_end:
                 i = admit
-                if active[i] and not decoded[rep_owner[i]] and not queued[i]:
+                if active[i] and n_fatal[i] == 0 and not decoded[rep_owner[i]] and not queued[i]:
                     queued[i] = True
                     stack[top] = i
                     top += 1
                 admit += 1
 
             # cancel until no candidate decodes; cancelling a user re-queues
-            # the active replicas its copies overlapped
+            # the active replicas its copies overlapped that no other active
+            # replica still keeps below the rate
             while top > 0:
                 top -= 1
                 i = stack[top]
@@ -211,10 +273,16 @@ def _build_sweep(jit, view):
                     for jj in range(user_ptr[u], user_ptr[u + 1]):
                         r = rep_of_user[jj]
                         active[r] = False
+                        s_r = rep_start[r]
                         for nb in range(nb_lo[r], nb_hi[r]):
-                            if nb == r or nb >= admit or queued[nb] or not active[nb]:
+                            if nb == r or queued[nb] or not active[nb]:
                                 continue
-                            if decoded[rep_owner[nb]] or rep_start[nb] < w:
+                            s_nb = rep_start[nb]
+                            if s_nb < w:
+                                continue
+                            if s_r > s_nb - rad and s_r < s_nb + rad:
+                                n_fatal[nb] -= 1
+                            if n_fatal[nb] > 0 or nb >= admit or decoded[rep_owner[nb]]:
                                 continue
                             queued[nb] = True
                             stack[top] = nb

@@ -64,6 +64,23 @@ def symbol_mi(snr: float, interferers: int) -> float:
     return math.log2(1.0 + snr / (1.0 + interferers * snr))
 
 
+def clean_fraction(snr: float, rate: float) -> float:
+    """Share ``phi`` of a packet that must stay clean for it to decode next to
+    one equal-power interferer, clamped to ``[0, 1]``.
+
+    ``phi`` solves ``phi * I0 + (1 - phi) * I1 = rate`` with ``I0`` and ``I1``
+    the symbol MI under zero and one interferer. A single interferer starting
+    less than ``phi`` packet durations away is therefore fatal; ``phi = 1``
+    once ``rate >= I0``. Pure and silent; :func:`irasim.errorfloor.
+    vulnerable_fraction` adds the validation and the regime warning.
+    """
+    i0 = symbol_mi(snr, 0)
+    i1 = symbol_mi(snr, 1)
+    if rate >= i0:
+        return 1.0
+    return max(0.0, (rate - i1) / (i0 - i1))
+
+
 def build_timeline(
     replica: TimeInterval, active_others: Iterable[TimeInterval]
 ) -> InterferenceTimeline:

@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
+from .channel import clean_fraction, symbol_mi
 from .model import DegreeDistribution, ModelError, SystemConfig
 
 TAIL_EPS = 1e-15
@@ -162,16 +163,14 @@ def vulnerable_fraction(snr_linear: float, rate: float) -> float:
         raise ModelError(f"snr must be positive, got {snr_linear}")
     if not rate > 0:
         raise ModelError(f"rate must be positive, got {rate}")
-    i0 = math.log2(1.0 + snr_linear)
-    i1 = math.log2(1.0 + snr_linear / (1.0 + snr_linear))
+    i0 = symbol_mi(snr_linear, 0)
     if rate >= i0:
         warnings.warn(
             f"rate {rate} >= clean-packet capacity {i0:.6g}; collision channel regime",
             CollisionChannelRegimeWarning,
             stacklevel=2,
         )
-        return 1.0
-    return max(0.0, (rate - i1) / (i0 - i1))
+    return clean_fraction(snr_linear, rate)
 
 
 def vp_count(vf_span: float, phi: float, packet_duration: float = 1.0) -> int:

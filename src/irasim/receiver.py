@@ -20,7 +20,9 @@ whose collision component has at most one other replica within one packet
 of each replica (:func:`peel`, which also states why its outcome equals the
 sweep's bit for bit). Only the remaining users go through the window sweep
 of :mod:`irasim._kernels`. At low load, the error-floor region, the pre-pass
-resolves most users.
+resolves most users. Each swept replica also gets the count of replicas
+starting within the fatal radius of it (:func:`with_fatal_counts`), so the
+sweep skips every MI evaluation that one active interferer already decides.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .channel import avg_mutual_information, build_timeline, is_decodable
+from .channel import (
+    avg_mutual_information,
+    build_timeline,
+    clean_fraction,
+    is_decodable,
+    symbol_mi,
+)
 from .model import SystemConfig, TimeInterval
 from .traffic import TrafficTrace
 
@@ -174,17 +182,34 @@ def _sorted_replicas(trace: TrafficTrace) -> tuple[np.ndarray, np.ndarray, np.nd
 def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
     """Arguments of :func:`irasim._kernels.sic_sweep` for one non-empty trace.
 
-    Replicas are sorted by start time. Position 3 maps each user's replicas,
-    in trace order, to their sorted positions. The last two entries give, per
-    sorted replica ``i``, the index range ``[nb_lo[i], nb_hi[i])`` of the
-    replicas starting strictly less than one packet away from it; a replica
-    exactly one packet away touches ``i`` without overlapping it.
+    Replicas are sorted by start time. The sixteen positions are:
+
+    * 0-4: ``rep_start``, ``rep_owner`` (the user of each sorted replica),
+      ``user_ptr`` (user ``u`` owns entries ``user_ptr[u]:user_ptr[u+1]`` of
+      position 3), ``rep_of_user`` (each user's replicas, in trace order,
+      mapped to their sorted positions) and ``vf_end`` per user;
+    * 5-11: the step grid ``w0``, ``n_steps``, ``step_len``, ``win_len``,
+      then ``snr``, ``rate`` and ``t_p``;
+    * 12-13: the fatal radius ``rad`` and, per replica, the count
+      ``n_fatal`` of other replicas starting strictly within ``rad`` of it
+      (see :func:`with_fatal_counts`);
+    * 14-15: per replica ``i``, the index range ``[nb_lo[i], nb_hi[i])`` of
+      the replicas starting strictly less than one packet away from it; a
+      replica exactly one packet away touches ``i`` without overlapping it.
     """
+    return with_fatal_counts(_unskipped_inputs(trace, cfg))
+
+
+def _unskipped_inputs(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
+    """:func:`sweep_inputs` with the fatal pre-test off (``rad = 0``, zero
+    counts), which leaves the sweep's outcome unchanged."""
     rep_start, rep_owner, pos = _sorted_replicas(trace)
     vf_end = np.ascontiguousarray(trace.arrival + cfg.vf_duration)
     t_p = cfg.packet_duration
-    nb_lo = np.searchsorted(rep_start, rep_start - t_p, side="right")
-    nb_hi = np.searchsorted(rep_start, rep_start + t_p, side="left")
+    # int32 halves the two largest arrays the sweep holds next to the fatal
+    # counts and their copy; on dense traces that sets the peak memory
+    nb_lo = np.searchsorted(rep_start, rep_start - t_p, side="right").astype(np.int32)
+    nb_hi = np.searchsorted(rep_start, rep_start + t_p, side="left").astype(np.int32)
 
     w0 = float(trace.arrival[0]) - cfg.window_length
     step_len = cfg.step_length
@@ -202,9 +227,50 @@ def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
         cfg.snr_linear,
         cfg.rate,
         t_p,
+        0.0,
+        np.zeros(rep_start.shape[0], dtype=np.int32),
         nb_lo,
         nb_hi,
     )
+
+
+#: Unit roundoff of float64.
+_U = 2.0**-53
+
+#: Replicas per block of the fatal counts, which bounds their temporaries.
+_COUNT_BLOCK = 8192
+
+
+def _fatal_radius(rep_start, nb_lo, nb_hi, snr: float, rate: float, t_p: float) -> float:
+    """Radius of the fatal pre-test of :mod:`irasim._kernels`, or 0.0 to
+    switch it off. The margin and the bound it must dominate are derived in
+    that module's docstring."""
+    phi = clean_fraction(snr, rate)
+    m0 = symbol_mi(snr, 0)
+    m1 = symbol_mi(snr, 1)
+    if not (phi > 0.0 and m0 > m1 and rep_start.shape[0] > 0):
+        return 0.0
+    margin = phi * t_p * 1e-9
+    e = math.ulp(max(abs(float(rep_start[0])), abs(float(rep_start[-1]))) + t_p)
+    n_seg = 2 * int((nb_hi - nb_lo).max()) + 1
+    err = 2.0 * (e + _U * t_p) + (e * m1 + 8.0 * _U * t_p * (n_seg * m0 + rate)) / (m0 - m1)
+    return phi * t_p - margin if 2.0 * err < margin else 0.0
+
+
+def with_fatal_counts(args: tuple) -> tuple:
+    """Sweep arguments ``args`` with the fatal radius and counts (positions
+    12 and 13) computed from their own replicas."""
+    rep_start, snr, rate, t_p, nb_lo, nb_hi = args[0], args[9], args[10], args[11], args[14], args[15]
+    rad = _fatal_radius(rep_start, nb_lo, nb_hi, snr, rate, t_p)
+    n_fatal = np.zeros(rep_start.shape[0], dtype=np.int32)
+    if rad > 0.0:
+        for a in range(0, rep_start.shape[0], _COUNT_BLOCK):
+            s = rep_start[a:a + _COUNT_BLOCK]
+            hi = rep_start.searchsorted(s + rad, "left")
+            hi -= rep_start.searchsorted(s - rad, "right")
+            # the replica itself is in its range
+            np.subtract(hi, 1, out=n_fatal[a:a + _COUNT_BLOCK], casting="unsafe")
+    return args[:12] + (rad, n_fatal) + args[14:]
 
 
 #: Rounds after which the taint spread or the decode-step iteration of
@@ -285,7 +351,7 @@ def peel(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     on tainted replicas, and every MI they see, unchanged.
     """
     (rep_start, rep_owner, user_ptr, pos, vf_end, w0, n_steps, step_len,
-     win_len, snr, rate, t_p, nb_lo, nb_hi) = args
+     win_len, snr, rate, t_p, _, _, nb_lo, nb_hi) = args
     n_users = vf_end.shape[0]
     n_rep = rep_start.shape[0]
     # the sweep's mi_table[0] and mi_table[1]
@@ -297,6 +363,8 @@ def peel(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     tainted = ~np.logical_and.reduceat((nb_hi - nb_lo <= 2)[pos], user_ptr[:-1])
     if np.count_nonzero(~tainted) < n_users * _MIN_PEELED_SHARE:
         return None
+    nb_lo = nb_lo.astype(np.intp)  # index arrays below; int32 ones get converted at every use
+    nb_hi = nb_hi.astype(np.intp)
     cand = np.flatnonzero(~tainted[rep_owner])
     lo = nb_lo[cand]
     hi = nb_hi[cand]
@@ -377,9 +445,10 @@ def peel(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
 def _restrict(args: tuple, keep: np.ndarray) -> tuple:
     """Sweep arguments for the users in mask ``keep`` alone, on the same step
     grid. No replica of a kept user may have a dropped one in its neighbour
-    range, so the kept ranges map onto the kept replicas."""
+    range, so the kept ranges map onto the kept replicas and the kept fatal
+    counts stay valid."""
     (rep_start, rep_owner, user_ptr, pos, vf_end, w0, n_steps, step_len,
-     win_len, snr, rate, t_p, nb_lo, nb_hi) = args
+     win_len, snr, rate, t_p, rad, n_fatal, nb_lo, nb_hi) = args
     keep_rep = keep[rep_owner]
     rank = np.zeros(keep_rep.shape[0] + 1, dtype=np.int64)  # kept replicas before each index
     np.cumsum(keep_rep, out=rank[1:])
@@ -399,6 +468,8 @@ def _restrict(args: tuple, keep: np.ndarray) -> tuple:
         snr,
         rate,
         t_p,
+        rad,
+        n_fatal[keep_rep],
         rank[nb_lo[keep_rep]],
         rank[nb_hi[keep_rep]],
     )
@@ -420,12 +491,14 @@ def run_sic_kernel(trace: TrafficTrace, cfg: SystemConfig) -> tuple[np.ndarray, 
     """
     if trace.n_users == 0:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.float64)
-    args = sweep_inputs(trace, cfg)
+    args = _unskipped_inputs(trace, cfg)
     peeled = peel(args)
     if peeled is None:
+        args = with_fatal_counts(args)  # drops the zero counts before the sweep
         return _sweep(args)
     rest, peeled_decoded, peeled_w = peeled
-    args = _restrict(args, rest)  # drops the full arrays before the sweep
+    # drops the full arrays before the sweep; counts only the swept replicas
+    args = with_fatal_counts(_restrict(args, rest))
     swept_decoded, swept_w = _sweep(args)
     decoded = np.empty(trace.n_users, dtype=bool)
     decided_w = np.empty(trace.n_users)
