@@ -3,7 +3,9 @@
 
 For each load this times ``run_sic_kernel`` (the peeling pre-pass, then the
 sweep on the users it leaves) and the plain-Python sweep on the whole trace,
-and with numba present also the compiled sweep. It prints the share of users
+and with numba present also the compiled sweep. Every timed side builds its
+kernel inputs with ``sweep_inputs`` inside its timing, as ``run_sic_kernel``
+does, so the ratios compare like with like. It prints the share of users
 the pre-pass resolved and the steps each sweep actually visited out of the
 step grid. The receiver and the sweep alone must classify every user
 identically, and so must the compiled and plain builds of the sweep (see
@@ -85,14 +87,15 @@ def main():
 
         t_recv, (decoded, decided_w) = best_of(args.repeat, lambda: run_sic_kernel(trace, cfg))
         line("receiver", t_recv, n, residual_sweep_steps(trace, cfg), n_steps)
-        t_plain, plain = best_of(args.repeat, lambda: _kernels.sic_sweep_python(*kernel_args))
+        t_plain, plain = best_of(
+            args.repeat, lambda: _kernels.sic_sweep_python(*sweep_inputs(trace, cfg)))
         line("python sweep alone", t_plain, n, plain[3], n_steps)
         same = np.array_equal(decoded, plain[0]) and np.array_equal(decided_w, plain[1])
         assert same, "receiver and sweep alone disagree"
 
         if compiled is not None:
             compiled(*kernel_args)  # warm up the JIT
-            t_comp, comp = best_of(args.repeat, lambda: compiled(*kernel_args))
+            t_comp, comp = best_of(args.repeat, lambda: compiled(*sweep_inputs(trace, cfg)))
             line("compiled sweep alone", t_comp, n, comp[3], n_steps)
             same_w = np.array_equal(comp[1], plain[1], equal_nan=True)
             assert np.array_equal(comp[0], plain[0]) and same_w, "paths disagree"

@@ -17,7 +17,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errorfloor import FloorError, builtin_catalog, count_configurations, load_catalog
+from .errorfloor import (
+    _MAX_ENUM_PERIODS,
+    FloorError,
+    builtin_catalog,
+    count_configurations,
+    load_catalog,
+)
 from .harness import ConfigError, parse_config_file, predict, sweep
 from .model import ModelError
 from .traffic import generate_trace
@@ -81,6 +87,11 @@ def _cmd_verify_ucp(args) -> int:
         raise ConfigError(
             "periods must satisfy 0 <= --min-periods <= --max-periods, "
             f"got {args.min_periods} and {args.max_periods}"
+        )
+    if args.max_periods > _MAX_ENUM_PERIODS:
+        raise ConfigError(
+            f"--max-periods must be at most {_MAX_ENUM_PERIODS} for an exhaustive "
+            f"enumeration, got {args.max_periods}"
         )
     failures = 0
     for pattern in builtin_catalog():

@@ -436,86 +436,81 @@ def count_configurations(pattern: CollisionPattern, n_periods: int) -> int:
     two replicas, the occupancy graph is connected, and no proper nonempty
     user subset is already stuck on its own (no user of the subset keeps a
     replica alone in a period). The result equals
-    ``comb(n_periods, num_sets) * iso_count`` when ``iso_count`` is correct.
+    ``comb(n_periods, num_sets) * iso_count`` when ``iso_count`` is correct;
+    the enumeration still runs over all ``n_periods`` periods, so that
+    identity is checked rather than assumed.
+
+    Users are placed in descending degree order. Three exact reductions keep
+    the enumeration small:
+
+    * Period relabelling. A permutation of the periods maps an assignment
+      that realises the pattern to another one: it keeps the number of
+      occupied periods, the replicas in each, connectivity and which user
+      subsets are stuck. It also maps the first user's ``d1``-subsets onto
+      each other, so every one of the ``comb(n_periods, d1)`` choices for the
+      first user completes in the same number of ways. The first user is
+      fixed to periods ``0..d1-1`` and the count multiplied by that binomial.
+    * Pruning. A branch stops when more than ``num_sets`` periods are
+      occupied, or when more periods hold a single replica than replicas are
+      left to place (each such period needs one more).
+    * Leaf checks on holders. Each occupied period becomes the bitmask of the
+      users holding a replica there, so the stuck test is a few bit
+      operations on ``num_sets`` masks per user subset. Connectivity needs no
+      test of its own: once every occupied period holds at least two
+      replicas, a connected component that leaves some user out is a stuck
+      proper subset, since each period it touches holds only its members.
     """
     if n_periods > _MAX_ENUM_PERIODS:
         raise EnumerationTooLarge(
             f"exhaustive enumeration over {n_periods} periods is not tractable"
         )
-    degrees = pattern.degree_list()
+    degrees = sorted(pattern.degree_list(), reverse=True)
     mu = pattern.num_sets
-    if mu > n_periods or max(degrees) > n_periods:
+    if mu > n_periods or degrees[0] > n_periods:
         return 0
     nu = len(degrees)
-
-    masks_by_degree: dict[int, list[int]] = {}
-    for d in set(degrees):
-        masks_by_degree[d] = [
-            sum(1 << b for b in combo) for combo in combinations(range(n_periods), d)
-        ]
-
-    # enumerate users in descending degree order; pruning on the occupied-set
-    # size cuts most branches early, the count itself is order-independent
-    order = sorted(range(nu), key=lambda i: -degrees[i])
+    everyone = (1 << nu) - 1
+    masks_by_degree = {
+        d: [sum(1 << b for b in combo) for combo in combinations(range(n_periods), d)]
+        for d in set(degrees)
+    }
+    # replicas still to place once the first ``pos`` users are placed
+    left = [sum(degrees[pos:]) for pos in range(nu + 1)]
     chosen = [0] * nu
-    count = 0
 
-    def occupancy_ok(union: int) -> bool:
+    def realised(union: int) -> bool:
+        holders = []
         for b in range(n_periods):
             if union >> b & 1:
-                if sum(chosen[i] >> b & 1 for i in range(nu)) < 2:
-                    return False
-        return True
-
-    def connected(union: int) -> bool:
-        comp = chosen[0]
-        grew = True
-        while grew:
-            grew = False
-            for i in range(1, nu):
-                if chosen[i] & comp and chosen[i] | comp != comp:
-                    comp |= chosen[i]
-                    grew = True
-        return all(chosen[i] & comp for i in range(nu))
-
-    def dominant() -> bool:
-        # reject if some proper nonempty user subset is itself stuck
-        for sub in range(1, (1 << nu) - 1):
-            members = [i for i in range(nu) if sub >> i & 1]
-            union = 0
-            for i in members:
-                union |= chosen[i]
-            stuck = True
-            for b in range(n_periods):
-                if union >> b & 1:
-                    if sum(chosen[i] >> b & 1 for i in members) == 1:
-                        stuck = False
-                        break
-            if stuck:
+                holders.append(sum(1 << i for i in range(nu) if chosen[i] >> b & 1))
+        # reject if some proper nonempty user subset is itself stuck, i.e.
+        # no period holds exactly one of its members
+        for sub in range(1, everyone):
+            for h in holders:
+                x = h & sub
+                if x and not x & (x - 1):
+                    break
+            else:
                 return False
         return True
 
-    def rec(pos: int, union: int) -> None:
-        nonlocal count
+    def rec(pos: int, union: int, ones: int) -> int:
         if pos == nu:
-            if (
-                union.bit_count() == mu
-                and occupancy_ok(union)
-                and connected(union)
-                and dominant()
-            ):
-                count += 1
-            return
-        user = order[pos]
-        for mask in masks_by_degree[degrees[user]]:
+            return 1 if not ones and union.bit_count() == mu and realised(union) else 0
+        found = 0
+        for mask in masks_by_degree[degrees[pos]]:
             u2 = union | mask
-            if u2.bit_count() <= mu:
-                chosen[user] = mask
-                rec(pos + 1, u2)
-        chosen[user] = 0
+            if u2.bit_count() > mu:
+                continue
+            o2 = (ones & ~mask) | (mask & ~union)
+            if o2.bit_count() <= left[pos + 1]:
+                chosen[pos] = mask
+                found += rec(pos + 1, u2, o2)
+        return found
 
-    rec(0, 0)
-    return count
+    first = (1 << degrees[0]) - 1
+    chosen[0] = first
+    return math.comb(n_periods, degrees[0]) * rec(1, first, first)
 
 
 # -- catalog files ------------------------------------------------------------

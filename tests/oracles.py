@@ -1,9 +1,12 @@
 """Independent reference computations used to pin expected test values.
 
 These deliberately avoid the library's own code paths: the loss-floor double
-sum is re-done in arbitrary precision with mpmath, and replica placement is
-re-done by literal rejection sampling.
+sum is re-done in arbitrary precision with mpmath, replica placement is
+re-done by literal rejection sampling, and configuration counts by a plain
+labelled enumeration.
 """
+
+from itertools import combinations
 
 import mpmath as mp
 import numpy as np
@@ -74,3 +77,94 @@ def place_replicas_rejection(t0, degree, vf_span, rng, t_p=1.0, max_tries=100000
         if np.all(np.diff(starts) >= t_p):
             return t0 + starts
     raise RuntimeError("rejection sampler did not terminate")
+
+
+def count_configurations_labelled(pattern, n_periods):
+    """Labelled brute-force count of the assignments realising ``pattern``.
+
+    The plain enumeration, without the library's symmetry reduction and
+    pruning: every user tries every mask, and the leaf checks sum over all
+    users for every period and every user subset.
+
+    Every user of degree ``l`` picks an ``l``-subset of ``n_periods`` labeled
+    vulnerable periods. An assignment realises the pattern when exactly
+    ``num_sets`` periods are occupied, every occupied period holds at least
+    two replicas, the occupancy graph is connected, and no proper nonempty
+    user subset is already stuck on its own (no user of the subset keeps a
+    replica alone in a period). The result equals
+    ``comb(n_periods, num_sets) * iso_count`` when ``iso_count`` is correct.
+    """
+    degrees = pattern.degree_list()
+    mu = pattern.num_sets
+    if mu > n_periods or max(degrees) > n_periods:
+        return 0
+    nu = len(degrees)
+
+    masks_by_degree: dict[int, list[int]] = {}
+    for d in set(degrees):
+        masks_by_degree[d] = [
+            sum(1 << b for b in combo) for combo in combinations(range(n_periods), d)
+        ]
+
+    # enumerate users in descending degree order; pruning on the occupied-set
+    # size cuts most branches early, the count itself is order-independent
+    order = sorted(range(nu), key=lambda i: -degrees[i])
+    chosen = [0] * nu
+    count = 0
+
+    def occupancy_ok(union: int) -> bool:
+        for b in range(n_periods):
+            if union >> b & 1:
+                if sum(chosen[i] >> b & 1 for i in range(nu)) < 2:
+                    return False
+        return True
+
+    def connected(union: int) -> bool:
+        comp = chosen[0]
+        grew = True
+        while grew:
+            grew = False
+            for i in range(1, nu):
+                if chosen[i] & comp and chosen[i] | comp != comp:
+                    comp |= chosen[i]
+                    grew = True
+        return all(chosen[i] & comp for i in range(nu))
+
+    def dominant() -> bool:
+        # reject if some proper nonempty user subset is itself stuck
+        for sub in range(1, (1 << nu) - 1):
+            members = [i for i in range(nu) if sub >> i & 1]
+            union = 0
+            for i in members:
+                union |= chosen[i]
+            stuck = True
+            for b in range(n_periods):
+                if union >> b & 1:
+                    if sum(chosen[i] >> b & 1 for i in members) == 1:
+                        stuck = False
+                        break
+            if stuck:
+                return False
+        return True
+
+    def rec(pos: int, union: int) -> None:
+        nonlocal count
+        if pos == nu:
+            if (
+                union.bit_count() == mu
+                and occupancy_ok(union)
+                and connected(union)
+                and dominant()
+            ):
+                count += 1
+            return
+        user = order[pos]
+        for mask in masks_by_degree[degrees[user]]:
+            u2 = union | mask
+            if u2.bit_count() <= mu:
+                chosen[user] = mask
+                rec(pos + 1, u2)
+        chosen[user] = 0
+
+    rec(0, 0)
+    return count

@@ -1,9 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from irasim.errorfloor import (
+    _MAX_ENUM_PERIODS,
     CollisionChannelRegimeWarning,
     CollisionPattern,
     DegenerateVulnerablePeriod,
@@ -28,7 +30,7 @@ from irasim.errorfloor import (
 )
 from irasim.model import DegreeDistribution, SystemConfig
 
-from oracles import plr_floor_mp, two_user_closed_form
+from oracles import count_configurations_labelled, plr_floor_mp, two_user_closed_form
 
 RHO = 10**0.6
 
@@ -266,10 +268,37 @@ class TestCatalog:
             load_catalog(path)
 
 
+def random_patterns(seed, count, *, extra_periods, oracle_budget=None, nonzero_only=False):
+    """Distinct seeded ``(pattern, n_periods)`` cases: 1-5 users of degree
+    2-5, ``num_sets`` 1-5 and ``n_periods`` up to ``extra_periods`` above it.
+
+    ``oracle_budget`` bounds the labelled oracle's search, the product of the
+    users' mask counts; ``nonzero_only`` keeps ``num_sets`` at or above the
+    largest degree, below which every count is 0 before any search.
+    """
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < count:
+        degrees = sorted(rng.randint(2, 5) for _ in range(rng.randint(1, 5)))
+        lo = max(degrees) if nonzero_only else 1
+        hi = min(5, sum(degrees) // 2)
+        if lo > hi:
+            continue
+        mu = rng.randint(lo, hi)
+        n = rng.randint(mu, mu + extra_periods)
+        if oracle_budget is None or math.prod(math.comb(n, d) for d in degrees) <= oracle_budget:
+            seen.add((tuple(degrees), mu, n))
+    cases = []
+    for degrees, mu, n in sorted(seen):
+        profile = tuple(degrees.count(l) for l in range(1, 6))
+        cases.append((CollisionPattern(f"r{''.join(map(str, degrees))}-m{mu}", profile, mu, 1), n))
+    return cases
+
+
 class TestCountConfigurations:
     @pytest.mark.parametrize("pattern", builtin_catalog(), ids=lambda p: p.name)
     def test_matches_iso_count_small(self, pattern):
-        for n in (6, 9):
+        for n in (6, 9, 10):
             got = count_configurations(pattern, n)
             assert got == math.comb(n, pattern.num_sets) * pattern.iso_count
 
@@ -285,3 +314,31 @@ class TestCountConfigurations:
     def test_infeasible_returns_zero(self):
         deg5_pair = CollisionPattern("d55-m5", (0, 0, 0, 0, 2), 5, 1)
         assert count_configurations(deg5_pair, 4) == 0
+
+    @pytest.mark.parametrize("pattern", builtin_catalog(), ids=lambda p: p.name)
+    def test_matches_labelled_oracle_builtin(self, pattern):
+        for n in range(pattern.num_sets, 9):
+            assert count_configurations(pattern, n) == count_configurations_labelled(pattern, n)
+
+    def test_matches_labelled_oracle_random(self):
+        cases = random_patterns(20_261_018, 400, extra_periods=2, oracle_budget=20_000)
+        nonzero = 0
+        for pattern, n in cases:
+            want = count_configurations_labelled(pattern, n)
+            assert count_configurations(pattern, n) == want, (pattern.name, n)
+            nonzero += want > 0
+        assert nonzero >= 20
+
+    def test_count_scales_with_chosen_periods(self):
+        # a realising assignment occupies exactly num_sets periods and every
+        # condition looks only at those, so count(n) = comb(n, mu) count(mu)
+        patterns = list(builtin_catalog())
+        patterns += [p for p, _ in random_patterns(7, 30, extra_periods=0, nonzero_only=True)]
+        nonzero = 0
+        for pattern in patterns:
+            mu = pattern.num_sets
+            base = count_configurations(pattern, mu)
+            nonzero += base > 0
+            for n in range(mu + 1, _MAX_ENUM_PERIODS + 1):
+                assert count_configurations(pattern, n) == math.comb(n, mu) * base, (pattern.name, n)
+        assert nonzero >= len(builtin_catalog()) + 5

@@ -5,7 +5,7 @@ import pytest
 
 from irasim import cli, harness
 from irasim.cli import main as cli_main
-from irasim.errorfloor import plr_floor
+from irasim.errorfloor import builtin_catalog, plr_floor
 from irasim.harness import (
     MAX_EXPECTED_BATCHES,
     ConfigError,
@@ -392,6 +392,23 @@ class TestCli:
         rc = cli_main(["verify-ucp", "--min-periods", bounds[0], "--max-periods", bounds[1]])
         assert rc == 2
         assert "periods" in capsys.readouterr().err
+
+    def test_verify_ucp_max_periods_past_guard(self, monkeypatch, capsys):
+        # rejected before the n=10 rows, not by the guard once n=11 is reached
+        def no_count(*args):
+            raise AssertionError("counting started before the bounds were checked")
+
+        monkeypatch.setattr(cli, "count_configurations", no_count)
+        rc = cli_main(["verify-ucp", "--min-periods", "10", "--max-periods", "11"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--max-periods" in err
+
+    def test_verify_ucp_at_guard_edge(self, capsys):
+        assert cli_main(["verify-ucp", "--min-periods", "10", "--max-periods", "10"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" n=10: ") == len(builtin_catalog())
 
     @pytest.mark.parametrize("load", ["inf", "nan"])
     def test_simulate_non_finite_load_exit_code(self, config_file, load, no_batches, capsys):
