@@ -80,7 +80,7 @@ def main():
         n = trace.n_users
         kernel_args = sweep_inputs(trace, cfg)
         n_steps = kernel_args[6]
-        peeled = peel(kernel_args)
+        peeled = peel(kernel_args[:13])  # the geometry positions
         share = 0.0 if peeled is None else float(np.mean(~peeled[0]))
         print(f"load {load:g}: {n} users, {trace.n_replicas} replicas, "
               f"pre-pass resolved {share:.1%}")
@@ -105,9 +105,9 @@ def main():
     irr1 = DegreeDistribution.from_pairs([(2, 0.263), (3, 0.344), (5, 0.393)])
     trace = generate_trace(cfg, irr1, load, args.users / load, np.random.default_rng(1))
     with_test = sweep_inputs(trace, cfg)
-    without = with_test[:12] + (0.0, np.zeros_like(with_test[13])) + with_test[14:]
+    without = with_test[:13] + (0.0, np.zeros_like(with_test[14]))
     print(f"irr1 load {load:g}: {trace.n_users} users, {trace.n_replicas} replicas, "
-          f"{np.mean(with_test[13] > 0):.1%} start with a fatal neighbour")
+          f"{np.mean(with_test[14] > 0):.1%} start with a fatal neighbour")
     t_on, on = best_of(args.repeat, lambda: _kernels.sic_sweep(*with_test))
     line("sweep, fatal pre-test", t_on, trace.n_users, on[3], with_test[6])
     t_off, off = best_of(args.repeat, lambda: _kernels.sic_sweep(*without))

@@ -2,9 +2,7 @@
 sliding-window SIC decoding and analytical error-floor prediction."""
 
 from .channel import (
-    DecodabilityReport,
     InterferenceTimeline,
-    assess_replica,
     avg_mutual_information,
     build_timeline,
     is_decodable,

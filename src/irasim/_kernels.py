@@ -1,11 +1,10 @@
 """Hot inner loop of the sliding-window SIC receiver.
 
-The sweep is compiled with numba when available; set IRASIM_NO_NUMBA=1 to
-select the identical code as plain Python (slow path, same results). Both
-variants are always exported so the benchmark under benchmarks/ can compare
-them directly:
+The sweep is compiled with numba when available and runs the identical
+code as plain Python otherwise (same results). Both variants are always
+exported so the benchmark under benchmarks/ can compare them directly:
 
-* ``sic_sweep``          active implementation (compiled unless disabled)
+* ``sic_sweep``          active implementation (compiled when available)
 * ``sic_sweep_python``   plain-Python build of the same code
 * ``sic_sweep_compiled`` numba build, or None when numba is unavailable
 
@@ -28,10 +27,12 @@ trace beforehand (``receiver.peel``) and sweeps the few that remain on the
 full trace's step grid. The sweep returns ``(decoded, decided_w,
 n_classified, n_visited)``, the last being the number of steps executed.
 
-Fatal pre-test. One equal-power interferer starting less than ``phi * t_p``
+Times are in packet durations, so every replica lasts exactly 1.
+
+Fatal pre-test. One equal-power interferer starting less than ``phi``
 from a replica keeps the replica's average MI below the rate (``phi`` from
 ``channel.clean_fraction``), and more interferers only lower it. The caller
-passes a radius ``rad`` a little below ``phi * t_p`` and, per replica ``i``,
+passes a radius ``rad`` a little below ``phi`` and, per replica ``i``,
 the size ``n_fatal[i]`` of its fatal set ``F(i) = {j != i : s_j >
 fl(s_i - rad) and s_j < fl(s_i + rad)}`` (``s`` = ``rep_start``, ``fl`` =
 float64 rounding; two ``searchsorted`` calls). The sweep keeps, on a copy,
@@ -52,24 +53,23 @@ test (``rad = 0`` with zero counts, which ``receiver`` also passes when the
 test is off).
 
 Why the test is sound in float64. Let ``u = 2**-53``, ``S`` the largest
-``|s_i|`` plus ``t_p``, ``e = ulp(S)`` (every rounded position errs by at
-most ``e/2``), ``m_k`` the sweep's ``mi_table`` (``m_0 = I0``, ``m_1 = I1``
-bit for bit as in ``clean_fraction``; correctly rounded, monotone
-operations make ``m_k`` non-increasing), ``N`` the largest neighbour range
-and ``margin = phi * t_p * 1e-9``, ``rad = phi * t_p - margin``.
+``|s_i|`` plus 1, ``e = ulp(S)`` (every rounded position errs by at most
+``e/2``), ``m_k`` the sweep's ``mi_table`` (``m_0 = I0``, ``m_1 = I1`` bit
+for bit as in ``clean_fraction``; correctly rounded, monotone operations
+make ``m_k`` non-increasing), ``N`` the largest neighbour range and
+``margin = phi * 1e-9``, ``rad = phi - margin``.
 
-* ``j`` in ``F(i)`` means ``|s_j - s_i| < rad + e/2``. As ``rad <= t_p -
+* ``j`` in ``F(i)`` means ``|s_j - s_i| < rad + e/2``. As ``rad <= 1 -
   margin``, ``j`` lies in ``i``'s neighbour range and ``i`` in ``j``'s once
-  ``margin > e + u*t_p``: every count starts and is decremented exactly.
+  ``margin > e + u``: every count starts and is decremented exactly.
 * With ``j`` in ``F(i)`` active, ``avg_mi`` sees ``j`` with a positive
   overlap. On the rounded positions it uses, the clean part of ``i`` is at
   most ``|s_j - s_i| + e`` long, everything else carries at least one
-  interferer, so the exact sum over those positions is below ``(t_p + e/2)
+  interferer, so the exact sum over those positions is below ``(1 + e/2)
   * m_1 + (rad + 1.5e) * (m_0 - m_1)``. With ``phi * (m_0 - m_1) <= (rate
   - m_1) * (1 + 4u)`` (the rounded quotient) and the summation error of at
   most ``2N + 1`` segments, ``avg_mi < rate`` whenever ``margin`` exceeds
-  ``err = 2(e + u*t_p) + (e*m_1 + 8u*t_p*((2N + 1)*m_0 + rate)) / (m_0 -
-  m_1)``.
+  ``err = 2(e + u) + (e*m_1 + 8u*((2N + 1)*m_0 + rate)) / (m_0 - m_1)``.
 
 ``receiver.with_fatal_counts`` switches the test off (``rad = 0``) unless
 ``margin > 2 * err``, and when ``phi = 0``. At 6 dB and rate 1.5 on the
@@ -82,15 +82,8 @@ or above ``I0``) makes every overlap of more than ``margin`` fatal.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-ENV_FLAG = "IRASIM_NO_NUMBA"
-
-
-def _numba_requested() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() not in {"1", "true", "yes", "on"}
 
 
 def _identity(a):
@@ -102,35 +95,32 @@ def _build_sweep(jit, view):
     wrapping every array before element access."""
 
     @jit
-    def avg_mi(rep_start, active, i, lo, hi, snr, t_p, mi_table, ev_a, ev_b):
+    def avg_mi(rep_start, active, i, lo, hi, snr, mi_table, ev_a, ev_b):
         # Average MI of replica i against every currently active replica in
         # [lo, hi), the replicas starting within one packet of it. Same-owner
         # replicas never land in that range because of the one-packet
-        # placement separation.
+        # placement separation. The event buffers hold at least hi - lo entries.
         s = rep_start[i]
-        s_end = s + t_p
+        s_end = s + 1.0
         k = 0
-        cap = ev_a.shape[0]
         for j in range(lo, hi):
             if j == i or not active[j]:
                 continue
             a = rep_start[j]
-            b = a + t_p
+            b = a + 1.0
             if a < s:
                 a = s
             if b > s_end:
                 b = s_end
             if b <= a:
                 continue
-            if k >= cap:
-                return -1.0  # caller retries with bigger event buffers
             ev_a[k] = a
             ev_b[k] = b
             k += 1
         if k == 0:
             return mi_table[0]
         # Both event lists are already ascending, since rep_start is sorted:
-        # replicas j < i contribute a = s and b = rep_start[j] + t_p <= s_end,
+        # replicas j < i contribute a = s and b = rep_start[j] + 1 <= s_end,
         # replicas j > i contribute a = rep_start[j] and b = s_end.
         acc = 0.0
         prev = s
@@ -157,7 +147,7 @@ def _build_sweep(jit, view):
             run += delta
         if prev < s_end:
             acc += (s_end - prev) * mi_table[0]
-        return acc / t_p
+        return acc  # the replica lasts 1, so the sum is the average
 
     @jit
     def sweep(
@@ -172,11 +162,10 @@ def _build_sweep(jit, view):
         win_len,
         snr,
         rate,
-        t_p,
-        rad,
-        n_fatal,
         nb_lo,
         nb_hi,
+        rad,
+        n_fatal,
     ):
         # Slide the window over one trace and classify every user. Returns
         # (decoded, decided_w, n_classified, n_visited); decided_w[u] is the
@@ -184,6 +173,9 @@ def _build_sweep(jit, view):
         # n_visited counts the steps actually executed out of n_steps.
         n_rep = rep_start.shape[0]
         n_user = user_ptr.shape[0] - 1
+        n_ev = 0  # the largest neighbour range bounds the events of avg_mi
+        if n_rep > 0:
+            n_ev = int(np.max(np.asarray(nb_hi) - np.asarray(nb_lo)))
         rep_start = view(rep_start)
         rep_owner = view(rep_owner)
         user_ptr = view(user_ptr)
@@ -207,8 +199,8 @@ def _build_sweep(jit, view):
         mi_table = view(np.empty(64))
         for k in range(64):
             mi_table[k] = math.log2(1.0 + snr / (1.0 + k * snr))
-        ev_a = view(np.empty(256))
-        ev_b = view(np.empty(256))
+        ev_a = view(np.empty(n_ev))
+        ev_b = view(np.empty(n_ev))
 
         step = 0
         n_visited = 0
@@ -236,7 +228,7 @@ def _build_sweep(jit, view):
             # replicas newly contained in the window become candidates, unless
             # a fatal neighbour is still active; counts only fall, so no
             # queued replica ever has one
-            while admit < n_rep and rep_start[admit] + t_p <= w_end:
+            while admit < n_rep and rep_start[admit] + 1.0 <= w_end:
                 i = admit
                 if active[i] and n_fatal[i] == 0 and not decoded[rep_owner[i]] and not queued[i]:
                     queued[i] = True
@@ -257,15 +249,9 @@ def _build_sweep(jit, view):
                 if decoded[u]:
                     continue
                 s = rep_start[i]
-                if s < w or s + t_p > w_end:
+                if s < w or s + 1.0 > w_end:
                     continue
-                lo = nb_lo[i]
-                hi = nb_hi[i]
-                mi = avg_mi(rep_start, active, i, lo, hi, snr, t_p, mi_table, ev_a, ev_b)
-                while mi < 0.0:
-                    ev_a = view(np.empty(ev_a.shape[0] * 2))
-                    ev_b = view(np.empty(ev_b.shape[0] * 2))
-                    mi = avg_mi(rep_start, active, i, lo, hi, snr, t_p, mi_table, ev_a, ev_b)
+                mi = avg_mi(rep_start, active, i, nb_lo[i], nb_hi[i], snr, mi_table, ev_a, ev_b)
                 if mi >= rate:
                     decoded[u] = True
                     decided_w[u] = w
@@ -298,13 +284,13 @@ def _build_sweep(jit, view):
             # the tests above stay the exact ones.
             step += 1
             if (trail >= n_user or vf_end[trail] >= w + 2.0 * step_len) and (
-                admit >= n_rep or rep_start[admit] + t_p > w_end + 2.0 * step_len
+                admit >= n_rep or rep_start[admit] + 1.0 > w_end + 2.0 * step_len
             ):
                 nxt = n_steps
                 if trail < n_user:
                     nxt = int(math.floor((vf_end[trail] - w0) / step_len)) - 1
                 if admit < n_rep:
-                    k = int(math.floor((rep_start[admit] + t_p - win_len - w0) / step_len)) - 1
+                    k = int(math.floor((rep_start[admit] + 1.0 - win_len - w0) / step_len)) - 1
                     if k < nxt:
                         nxt = k
                 if nxt > step:
@@ -325,5 +311,5 @@ except ImportError:
 if _njit is not None:
     sic_sweep_compiled = _build_sweep(_njit(cache=True), _njit(_identity))
 
-NUMBA_ENABLED = sic_sweep_compiled is not None and _numba_requested()
+NUMBA_ENABLED = sic_sweep_compiled is not None
 sic_sweep = sic_sweep_compiled if NUMBA_ENABLED else sic_sweep_python

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .model import T_P, TimeInterval
+from .model import TimeInterval
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,6 @@ class InterferenceTimeline:
     @property
     def max_count(self) -> int:
         return max(k for _, k in self.segments)
-
-
-@dataclass(frozen=True)
-class DecodabilityReport:
-    avg_mi: float
-    decodable: bool
-
-    def __post_init__(self) -> None:
-        # the two fields are redundant on purpose; keep them consistent
-        if not isinstance(self.decodable, bool):
-            raise ValueError("decodable must be a boolean")
 
 
 def symbol_mi(snr: float, interferers: int) -> float:
@@ -116,30 +105,18 @@ def build_timeline(
     return InterferenceTimeline(tuple(segments))
 
 
-def avg_mutual_information(
-    tl: InterferenceTimeline, snr: float, packet_duration: float = T_P
-) -> float:
-    """Length-weighted average mutual information over the replica."""
+def avg_mutual_information(tl: InterferenceTimeline, snr: float) -> float:
+    """Length-weighted average mutual information over a replica of unit
+    length, which makes the weighted sum the average."""
     acc = 0.0
     for iv, k in tl.segments:
         acc += iv.length * symbol_mi(snr, k)
-    return acc / packet_duration
+    return acc
 
 
 def is_decodable(avg_mi: float, rate: float) -> bool:
     """Decoding succeeds exactly when the rate does not exceed the average MI."""
     return rate <= avg_mi
-
-
-def assess_replica(
-    replica: TimeInterval,
-    active_others: Sequence[TimeInterval],
-    snr: float,
-    rate: float,
-    packet_duration: float = T_P,
-) -> DecodabilityReport:
-    mi = avg_mutual_information(build_timeline(replica, active_others), snr, packet_duration)
-    return DecodabilityReport(avg_mi=mi, decodable=is_decodable(mi, rate))
 
 
 def quantized_avg_mi(tl: InterferenceTimeline, snr: float, n_symbols: int) -> float:

@@ -40,24 +40,41 @@ def _apply_seed(cfg, seed):
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
+def _catalog(path):
+    """The catalog file at ``path``, or None (the builtin) when no path is given."""
+    if not path:
+        return None
+    try:
+        return load_catalog(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read catalog {path}: {exc}") from exc
+
+
+def _open_out(path):
+    """``path`` opened for writing, its directory created first."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_predict(args) -> int:
     cfg = parse_config_file(args.config)
-    catalog = load_catalog(args.catalog) if args.catalog else None
-    curve = predict(cfg, catalog)
+    curve = predict(cfg, _catalog(args.catalog))
     out = args.out or cfg.outputs + "_floor.csv"
-    _ensure_parent(out)
-    curve.write(out)
+    with _open_out(out) as fh:
+        curve.to_csv(fh)
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = _apply_seed(parse_config_file(args.config), args.seed)
-    catalog = load_catalog(args.catalog) if args.catalog else None
-    curve = sweep(cfg, jobs=args.jobs, catalog=catalog)
+    curve = sweep(cfg, jobs=args.jobs, catalog=_catalog(args.catalog))
     out = args.out or cfg.outputs + ".csv"
-    _ensure_parent(out)
-    curve.write(out)
+    with _open_out(out) as fh:
+        curve.to_csv(fh)
     print(f"wrote {out}")
     return 0
 
@@ -67,8 +84,7 @@ def _cmd_simulate(args) -> int:
     cfg = replace(_apply_seed(parse_config_file(args.config), args.seed), load_grid=(args.load,))
     sink = None
     if args.dump_outcomes:
-        _ensure_parent(args.dump_outcomes)
-        sink = open(args.dump_outcomes, "w", encoding="utf-8")
+        sink = _open_out(args.dump_outcomes)
         sink.write("user_id,degree,outcome,window_start\n")
     try:
         curve = sweep(cfg, jobs=args.jobs, outcome_sink=sink)
@@ -77,8 +93,8 @@ def _cmd_simulate(args) -> int:
             sink.close()
     curve.to_csv(sys.stdout)
     if args.out:
-        _ensure_parent(args.out)
-        curve.write(args.out)
+        with _open_out(args.out) as fh:
+            curve.to_csv(fh)
     return 0
 
 
@@ -116,18 +132,12 @@ def _cmd_dump_trace(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
     trace = generate_trace(cfg.system, cfg.distribution, args.load, args.horizon, rng)
     if args.out:
-        _ensure_parent(args.out)
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             trace.dump_replicas(fh)
         print(f"wrote {args.out} ({trace.n_users} users, {trace.n_replicas} replicas)")
     else:
         trace.dump_replicas(sys.stdout)
     return 0
-
-
-def _ensure_parent(path) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -47,6 +47,11 @@ MIN_USERS_FOR_EARLY_STOP = 100_000
 #: tests and the benchmark is under 840 batches.
 MAX_EXPECTED_BATCHES = 100_000
 
+#: Cap on ``jobs``. A process pool forks all its workers at the first
+#: submission, so the cap bounds the processes one sweep can start. The
+#: largest value the tests and the benchmark use is 8.
+MAX_JOBS = 256
+
 
 class ConfigError(ValueError):
     pass
@@ -66,15 +71,15 @@ class ExperimentConfig:
         object.__setattr__(self, "load_grid", tuple(float(g) for g in self.load_grid))
         if not self.load_grid:
             raise ConfigError("load grid is empty")
-        users_per_batch = (BATCH_VF_COUNT - 1) * self.system.vf_duration
+        users_per_batch = (BATCH_VF_COUNT - 1) * self.system.vf_span
         for g in self.load_grid:
             if not (math.isfinite(g) and g > 0):
                 raise ConfigError(f"loads must be finite and strictly positive, got {g}")
-            batches = self.min_users_per_point / (g * users_per_batch)
-            if batches > MAX_EXPECTED_BATCHES:
+            # compared, not divided, so that no integer overflows a float
+            if self.min_users_per_point > MAX_EXPECTED_BATCHES * g * users_per_batch:
                 raise ConfigError(
-                    f"load {g} needs about {batches:.3g} batches for "
-                    f"{self.min_users_per_point} users, more than {MAX_EXPECTED_BATCHES}"
+                    f"load {g} draws about {g * users_per_batch:.3g} users per batch, "
+                    f"too few for {self.min_users_per_point} users in {MAX_EXPECTED_BATCHES} batches"
                 )
         if list(self.load_grid) != sorted(self.load_grid):
             raise ConfigError("load grid must be sorted ascending")
@@ -168,10 +173,10 @@ def _simulate_batch(
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
     margin = system.window_length
-    horizon = BATCH_VF_COUNT * system.vf_duration + 2.0 * margin
+    horizon = BATCH_VF_COUNT * system.vf_span + 2.0 * margin
     trace = generate_trace(system, dist, load, horizon, rng)
     decoded, decided_w = run_sic_kernel(trace, system)
-    interior = (trace.arrival >= margin) & (trace.arrival + system.vf_duration <= horizon - margin)
+    interior = (trace.arrival >= margin) & (trace.arrival + system.vf_span <= horizon - margin)
     users = int(interior.sum())
     lost = int((interior & ~decoded).sum())
     rows: tuple = ()
@@ -204,6 +209,8 @@ class _InlineExecutor(Executor):
 
 
 def _batch_executor(jobs: int) -> Executor:
+    if jobs > MAX_JOBS:
+        raise ConfigError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
     return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else _InlineExecutor()
 
 
@@ -329,43 +336,47 @@ _CONFIG_KEYS = {
 }
 
 
+def _config_lines(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+
 def parse_config_file(path) -> ExperimentConfig:
     """Read an experiment config.
 
     The format is one ``key = value`` pair per line, ``#`` starts a comment.
     ``degree`` lines repeat, one per distribution entry, as
     ``degree = <d> <probability>``; ``load_grid`` is a space-separated list.
-    Unknown keys are rejected.
+    Unknown keys are rejected. Every malformed input, unreadable or
+    non-UTF-8 files included, raises :class:`ConfigError`.
     """
     scalars: dict[str, str] = {}
     degree_pairs: list[tuple[int, float]] = []
     loads: list[float] = []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                if key == "degree":
-                    d_s, p_s = value.split()
-                    degree_pairs.append((int(d_s), float(p_s)))
-                elif key == "load_grid":
-                    loads = [float(x) for x in value.replace(",", " ").split()]
-                else:
-                    scalars[key] = value
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
+    for lineno, raw in enumerate(_config_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key == "degree":
+                d_s, p_s = value.split()
+                degree_pairs.append((int(d_s), float(p_s)))
+            elif key == "load_grid":
+                loads = [float(x) for x in value.replace(",", " ").split()]
+            else:
+                scalars[key] = value
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
 
     for key in _REQUIRED_KEYS:
         if key not in scalars:
@@ -373,22 +384,29 @@ def parse_config_file(path) -> ExperimentConfig:
     if not degree_pairs:
         raise ConfigError(f"{path}: at least one 'degree = <d> <prob>' line is required")
 
+    def number(key: str, kind, default=None):
+        value = scalars.get(key, default)
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"{path}: bad value for {key!r}: {value!r}") from None
+
     try:
         system = SystemConfig.from_db(
-            snr_db=float(scalars["snr_db"]),
-            rate=float(scalars["rate"]),
-            vf_span=float(scalars["vf_span"]),
-            window_span=float(scalars.get("window_span", 3.0)),
-            window_step=float(scalars.get("window_step", 0.1)),
+            snr_db=number("snr_db", float),
+            rate=number("rate", float),
+            vf_span=number("vf_span", float),
+            window_span=number("window_span", float, 3.0),
+            window_step=number("window_step", float, 0.1),
         )
         dist = DegreeDistribution.from_pairs(degree_pairs)
         return ExperimentConfig(
             system=system,
             distribution=dist,
             load_grid=tuple(loads) if loads else (0.1,),
-            min_users_per_point=int(scalars.get("min_users_per_point", 100_000)),
-            max_lost_events=int(scalars.get("max_lost_events", 1_000)),
-            seed=int(scalars.get("seed", 1)),
+            min_users_per_point=number("min_users_per_point", int, 100_000),
+            max_lost_events=number("max_lost_events", int, 1_000),
+            seed=number("seed", int, 1),
             outputs=scalars.get("outputs", "results/run"),
         )
     except ModelError as exc:

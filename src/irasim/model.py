@@ -3,10 +3,12 @@ analytical error-floor machinery.
 
 Conventions
 -----------
-Time is measured in packet durations: one replica occupies exactly one time
-unit. A virtual frame spans ``vf_span`` packet durations, the channel load is
-given in packet arrivals per packet duration, and the signal-to-noise ratio is
-a linear power ratio (use :meth:`SystemConfig.from_db` for dB input).
+The packet duration is the time unit: one replica lasts exactly 1, so every
+time in the package, from replica starts to window lengths, is a number of
+packet durations, and no type carries a packet duration of its own. A
+virtual frame spans ``vf_span`` packet durations, the channel load is given
+in packet arrivals per packet duration, and the signal-to-noise ratio is a
+linear power ratio (use :meth:`SystemConfig.from_db` for dB input).
 
 All types here are immutable after construction and safe to share across
 concurrent Monte Carlo workers.
@@ -17,9 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-#: The packet duration, i.e. the time unit everything is normalised to.
-T_P = 1.0
 
 #: Absolute tolerance on the degree distribution normalisation.
 PROB_TOL = 1e-12
@@ -88,7 +87,6 @@ class SystemConfig:
     snr_linear: float
     rate: float
     vf_span: float
-    packet_duration: float = T_P
     window_span: float = 3.0
     window_step: float = 0.1
 
@@ -98,17 +96,17 @@ class SystemConfig:
     @classmethod
     def from_db(cls, snr_db: float, rate: float, vf_span: float, **kwargs) -> "SystemConfig":
         """Build a config from an SNR quoted in dB."""
-        return cls(snr_linear=10.0 ** (snr_db / 10.0), rate=rate, vf_span=vf_span, **kwargs)
+        try:
+            snr_linear = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            raise InvalidPhysicalParameter(f"snr_db {snr_db} overflows the linear SNR") from None
+        return cls(snr_linear=snr_linear, rate=rate, vf_span=vf_span, **kwargs)
 
     def validate(self) -> None:
         if not (math.isfinite(self.snr_linear) and self.snr_linear > 0):
             raise InvalidPhysicalParameter(f"snr_linear must be positive, got {self.snr_linear}")
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise InvalidPhysicalParameter(f"rate must be positive, got {self.rate}")
-        if self.packet_duration != T_P:
-            raise InvalidPhysicalParameter(
-                "times are normalised to the packet duration; packet_duration must be 1.0"
-            )
         if not (math.isfinite(self.vf_span) and self.vf_span >= 2.0):
             # a virtual frame must fit at least two non-overlapping replicas
             raise InvalidPhysicalParameter(f"vf_span must be >= 2 packet durations, got {self.vf_span}")
@@ -128,17 +126,12 @@ class SystemConfig:
         return 10.0 * math.log10(self.snr_linear)
 
     @property
-    def vf_duration(self) -> float:
-        """Virtual frame duration in absolute time units."""
-        return self.vf_span * self.packet_duration
-
-    @property
     def window_length(self) -> float:
-        return self.window_span * self.vf_duration
+        return self.window_span * self.vf_span
 
     @property
     def step_length(self) -> float:
-        return self.window_step * self.vf_duration
+        return self.window_step * self.vf_span
 
 
 @dataclass(frozen=True)
@@ -230,19 +223,18 @@ class UserTransmission:
             raise InvalidPhysicalParameter("first replica must start at the arrival instant")
         prev = self.replica_starts[0]
         for t in self.replica_starts[1:]:
-            if t - prev < T_P - _GAP_TOL:
+            if t - prev < 1.0 - _GAP_TOL:
                 raise InvalidPhysicalParameter(
                     f"replica starts {prev} and {t} closer than one packet duration"
                 )
             prev = t
 
-    def intervals(self, packet_duration: float = T_P) -> tuple[TimeInterval, ...]:
-        return tuple(TimeInterval(t, t + packet_duration) for t in self.replica_starts)
+    def intervals(self) -> tuple[TimeInterval, ...]:
+        return tuple(TimeInterval(t, t + 1.0) for t in self.replica_starts)
 
-    def fits_virtual_frame(self, vf_span: float, packet_duration: float = T_P) -> bool:
+    def fits_virtual_frame(self, vf_span: float) -> bool:
         """All replicas lie within ``[arrival, arrival + vf_span - 1]`` starts."""
-        last = self.replica_starts[-1]
-        return last <= self.arrival + vf_span * packet_duration - packet_duration + _GAP_TOL
+        return self.replica_starts[-1] <= self.arrival + vf_span - 1.0 + _GAP_TOL
 
 
 def validate_config(cfg: SystemConfig, dist: DegreeDistribution) -> None:
@@ -253,8 +245,7 @@ def validate_config(cfg: SystemConfig, dist: DegreeDistribution) -> None:
     """
     cfg.validate()
     dist.validate()
-    if dist.d_m * cfg.packet_duration > cfg.vf_duration + PROB_TOL:
+    if dist.d_m > cfg.vf_span + PROB_TOL:
         raise DegreeTooLargeForVF(
-            f"{dist.d_m} replicas of duration {cfg.packet_duration} cannot fit "
-            f"a virtual frame of {cfg.vf_duration}"
+            f"{dist.d_m} replicas cannot fit a virtual frame of {cfg.vf_span} packet durations"
         )

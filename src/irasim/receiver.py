@@ -55,11 +55,10 @@ class ReceiverState:
     active: np.ndarray
     decoded_users: set[int] = field(default_factory=set)
     lost_users: set[int] = field(default_factory=set)
-    packet_duration: float = 1.0
 
     def fully_windowed(self, i: int) -> bool:
         s = self.rep_start[i]
-        return s >= self.window.begin and s + self.packet_duration <= self.window.end
+        return s >= self.window.begin and s + 1.0 <= self.window.end
 
 
 def make_state(trace: TrafficTrace, cfg: SystemConfig) -> ReceiverState:
@@ -70,22 +69,20 @@ def make_state(trace: TrafficTrace, cfg: SystemConfig) -> ReceiverState:
         window=TimeInterval(w0, w0 + cfg.window_length),
         rep_start=rep_start,
         rep_owner=rep_owner,
-        vf_end=trace.arrival + cfg.vf_duration,
+        vf_end=trace.arrival + cfg.vf_span,
         active=np.ones(trace.n_replicas, dtype=bool),
-        packet_duration=cfg.packet_duration,
     )
 
 
 def _replica_mi(state: ReceiverState, i: int, cfg: SystemConfig) -> float:
-    t_p = state.packet_duration
     s = state.rep_start[i]
-    replica = TimeInterval(s, s + t_p)
+    replica = TimeInterval(s, s + 1.0)
     others = [
-        TimeInterval(o, o + t_p)
+        TimeInterval(o, o + 1.0)
         for j, o in enumerate(state.rep_start)
-        if j != i and state.active[j] and abs(o - s) < t_p
+        if j != i and state.active[j] and abs(o - s) < 1.0
     ]
-    return avg_mutual_information(build_timeline(replica, others), cfg.snr_linear, t_p)
+    return avg_mutual_information(build_timeline(replica, others), cfg.snr_linear)
 
 
 def sic_pass(
@@ -180,36 +177,33 @@ def _sorted_replicas(trace: TrafficTrace) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
-    """Arguments of :func:`irasim._kernels.sic_sweep` for one non-empty trace.
+    """Arguments of :func:`irasim._kernels.sic_sweep` for one non-empty trace:
+    the thirteen positions of :func:`_geometry`, then the fatal radius
+    ``rad`` and, per replica, the count ``n_fatal`` of other replicas
+    starting strictly within ``rad`` of it (see :func:`with_fatal_counts`)."""
+    return with_fatal_counts(_geometry(trace, cfg))
 
-    Replicas are sorted by start time. The sixteen positions are:
+
+def _geometry(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
+    """The trace's replicas, sorted by start time, and the receiver's step
+    grid, in the order of the sweep's first thirteen parameters:
 
     * 0-4: ``rep_start``, ``rep_owner`` (the user of each sorted replica),
       ``user_ptr`` (user ``u`` owns entries ``user_ptr[u]:user_ptr[u+1]`` of
       position 3), ``rep_of_user`` (each user's replicas, in trace order,
       mapped to their sorted positions) and ``vf_end`` per user;
-    * 5-11: the step grid ``w0``, ``n_steps``, ``step_len``, ``win_len``,
-      then ``snr``, ``rate`` and ``t_p``;
-    * 12-13: the fatal radius ``rad`` and, per replica, the count
-      ``n_fatal`` of other replicas starting strictly within ``rad`` of it
-      (see :func:`with_fatal_counts`);
-    * 14-15: per replica ``i``, the index range ``[nb_lo[i], nb_hi[i])`` of
+    * 5-10: the step grid ``w0``, ``n_steps``, ``step_len``, ``win_len``,
+      then ``snr`` and ``rate``;
+    * 11-12: per replica ``i``, the index range ``[nb_lo[i], nb_hi[i])`` of
       the replicas starting strictly less than one packet away from it; a
       replica exactly one packet away touches ``i`` without overlapping it.
     """
-    return with_fatal_counts(_unskipped_inputs(trace, cfg))
-
-
-def _unskipped_inputs(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
-    """:func:`sweep_inputs` with the fatal pre-test off (``rad = 0``, zero
-    counts), which leaves the sweep's outcome unchanged."""
     rep_start, rep_owner, pos = _sorted_replicas(trace)
-    vf_end = np.ascontiguousarray(trace.arrival + cfg.vf_duration)
-    t_p = cfg.packet_duration
+    vf_end = np.ascontiguousarray(trace.arrival + cfg.vf_span)
     # int32 halves the two largest arrays the sweep holds next to the fatal
     # counts and their copy; on dense traces that sets the peak memory
-    nb_lo = np.searchsorted(rep_start, rep_start - t_p, side="right").astype(np.int32)
-    nb_hi = np.searchsorted(rep_start, rep_start + t_p, side="left").astype(np.int32)
+    nb_lo = np.searchsorted(rep_start, rep_start - 1.0, side="right").astype(np.int32)
+    nb_hi = np.searchsorted(rep_start, rep_start + 1.0, side="left").astype(np.int32)
 
     w0 = float(trace.arrival[0]) - cfg.window_length
     step_len = cfg.step_length
@@ -226,9 +220,6 @@ def _unskipped_inputs(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
         cfg.window_length,
         cfg.snr_linear,
         cfg.rate,
-        t_p,
-        0.0,
-        np.zeros(rep_start.shape[0], dtype=np.int32),
         nb_lo,
         nb_hi,
     )
@@ -241,7 +232,7 @@ _U = 2.0**-53
 _COUNT_BLOCK = 8192
 
 
-def _fatal_radius(rep_start, nb_lo, nb_hi, snr: float, rate: float, t_p: float) -> float:
+def _fatal_radius(rep_start, nb_lo, nb_hi, snr: float, rate: float) -> float:
     """Radius of the fatal pre-test of :mod:`irasim._kernels`, or 0.0 to
     switch it off. The margin and the bound it must dominate are derived in
     that module's docstring."""
@@ -250,18 +241,18 @@ def _fatal_radius(rep_start, nb_lo, nb_hi, snr: float, rate: float, t_p: float) 
     m1 = symbol_mi(snr, 1)
     if not (phi > 0.0 and m0 > m1 and rep_start.shape[0] > 0):
         return 0.0
-    margin = phi * t_p * 1e-9
-    e = math.ulp(max(abs(float(rep_start[0])), abs(float(rep_start[-1]))) + t_p)
+    margin = phi * 1e-9
+    e = math.ulp(max(abs(float(rep_start[0])), abs(float(rep_start[-1]))) + 1.0)
     n_seg = 2 * int((nb_hi - nb_lo).max()) + 1
-    err = 2.0 * (e + _U * t_p) + (e * m1 + 8.0 * _U * t_p * (n_seg * m0 + rate)) / (m0 - m1)
-    return phi * t_p - margin if 2.0 * err < margin else 0.0
+    err = 2.0 * (e + _U) + (e * m1 + 8.0 * _U * (n_seg * m0 + rate)) / (m0 - m1)
+    return phi - margin if 2.0 * err < margin else 0.0
 
 
-def with_fatal_counts(args: tuple) -> tuple:
-    """Sweep arguments ``args`` with the fatal radius and counts (positions
-    12 and 13) computed from their own replicas."""
-    rep_start, snr, rate, t_p, nb_lo, nb_hi = args[0], args[9], args[10], args[11], args[14], args[15]
-    rad = _fatal_radius(rep_start, nb_lo, nb_hi, snr, rate, t_p)
+def with_fatal_counts(geom: tuple) -> tuple:
+    """The sweep arguments for the :func:`_geometry` tuple ``geom``: ``geom``
+    followed by the fatal radius and counts computed from its replicas."""
+    rep_start, snr, rate, nb_lo, nb_hi = geom[0], geom[9], geom[10], geom[11], geom[12]
+    rad = _fatal_radius(rep_start, nb_lo, nb_hi, snr, rate)
     n_fatal = np.zeros(rep_start.shape[0], dtype=np.int32)
     if rad > 0.0:
         for a in range(0, rep_start.shape[0], _COUNT_BLOCK):
@@ -270,7 +261,7 @@ def with_fatal_counts(args: tuple) -> tuple:
             hi -= rep_start.searchsorted(s - rad, "right")
             # the replica itself is in its range
             np.subtract(hi, 1, out=n_fatal[a:a + _COUNT_BLOCK], casting="unsafe")
-    return args[:12] + (rad, n_fatal) + args[14:]
+    return geom + (rad, n_fatal)
 
 
 #: Rounds after which the taint spread or the decode-step iteration of
@@ -302,10 +293,10 @@ def _first_step(x: np.ndarray, offset: float, strict: bool, w0: float, step_len:
         k -= down
 
 
-def peel(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def peel(geom: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Classify, in closed form, the users of sparse collision components.
 
-    ``args`` are the :func:`sweep_inputs` of a trace. A replica is *simple*
+    ``geom`` is the :func:`_geometry` of a trace. A replica is *simple*
     when at most one other replica, its *partner*, starts within one packet
     of it. A user owning a non-simple replica is *tainted*, and taint spreads
     over partner pairs until no untainted replica has a tainted partner. For
@@ -319,7 +310,7 @@ def peel(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
 
     Why the outcome is exact. On the sweep's grid ``w(k) = w0 + k*step_len``
     let ``A_i`` be the step at which replica ``i`` is admitted (first ``k``
-    with ``s_i + t_p <= w(k) + win_len``), ``L_i`` the last step with
+    with ``s_i + 1 <= w(k) + win_len``), ``L_i`` the last step with
     ``s_i >= w(k)``, so that ``i`` can decode only at steps in
     ``[A_i, L_i]``, and ``E_u`` the step at which user ``u`` expires (first
     ``k`` with ``vf_end[u] < w(k)``). All three come from the sweep's own
@@ -351,7 +342,7 @@ def peel(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     on tainted replicas, and every MI they see, unchanged.
     """
     (rep_start, rep_owner, user_ptr, pos, vf_end, w0, n_steps, step_len,
-     win_len, snr, rate, t_p, _, _, nb_lo, nb_hi) = args
+     win_len, snr, rate, nb_lo, nb_hi) = geom
     n_users = vf_end.shape[0]
     n_rep = rep_start.shape[0]
     # the sweep's mi_table[0] and mi_table[1]
@@ -401,12 +392,12 @@ def peel(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     never = n_steps  # every user expires before the sweep's last step
     expiry = _first_step(vf_end[users], 0.0, True, w0, step_len)
     s = rep_start[cand]
-    s_end = s + t_p
+    s_end = s + 1.0
     admit = _first_step(s_end, win_len, False, w0, step_len)
     last = _first_step(s, 0.0, True, w0, step_len) - 1
     # avg_mi against the one active partner, operation by operation
     a = rep_start[partner]
-    b = np.minimum(a + t_p, s_end)
+    b = np.minimum(a + 1.0, s_end)
     a = np.maximum(a, s)
     acc = (a - s) * mi0 + (b - a) * mi1
     acc = np.where(b < s_end, acc + (s_end - b) * mi0, acc)
@@ -414,7 +405,7 @@ def peel(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     # the first guard leaves to the sweep a trace it cannot finish (it raises)
     if expiry.max() >= never or np.any(overlap & (expiry[partner_owner] <= last)):
         return None
-    waits = overlap & ~(acc / t_p >= rate)  # decodes only once its partner is cancelled
+    waits = overlap & ~(acc >= rate)  # decodes only once its partner is cancelled
     del a, b, acc, s, s_end, overlap
 
     # replicas that decode at admission, or never, bound D from the start;
@@ -442,13 +433,12 @@ def peel(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     return tainted, decoded, w0 + np.where(decoded, decode_at, expiry) * step_len
 
 
-def _restrict(args: tuple, keep: np.ndarray) -> tuple:
-    """Sweep arguments for the users in mask ``keep`` alone, on the same step
-    grid. No replica of a kept user may have a dropped one in its neighbour
-    range, so the kept ranges map onto the kept replicas and the kept fatal
-    counts stay valid."""
+def _restrict(geom: tuple, keep: np.ndarray) -> tuple:
+    """The :func:`_geometry` of the users in mask ``keep`` alone, on the same
+    step grid. No replica of a kept user may have a dropped one in its
+    neighbour range, so the kept ranges map onto the kept replicas."""
     (rep_start, rep_owner, user_ptr, pos, vf_end, w0, n_steps, step_len,
-     win_len, snr, rate, t_p, rad, n_fatal, nb_lo, nb_hi) = args
+     win_len, snr, rate, nb_lo, nb_hi) = geom
     keep_rep = keep[rep_owner]
     rank = np.zeros(keep_rep.shape[0] + 1, dtype=np.int64)  # kept replicas before each index
     np.cumsum(keep_rep, out=rank[1:])
@@ -467,9 +457,6 @@ def _restrict(args: tuple, keep: np.ndarray) -> tuple:
         win_len,
         snr,
         rate,
-        t_p,
-        rad,
-        n_fatal[keep_rep],
         rank[nb_lo[keep_rep]],
         rank[nb_hi[keep_rep]],
     )
@@ -491,15 +478,13 @@ def run_sic_kernel(trace: TrafficTrace, cfg: SystemConfig) -> tuple[np.ndarray, 
     """
     if trace.n_users == 0:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.float64)
-    args = _unskipped_inputs(trace, cfg)
-    peeled = peel(args)
+    geom = _geometry(trace, cfg)
+    peeled = peel(geom)
     if peeled is None:
-        args = with_fatal_counts(args)  # drops the zero counts before the sweep
-        return _sweep(args)
+        return _sweep(with_fatal_counts(geom))
     rest, peeled_decoded, peeled_w = peeled
-    # drops the full arrays before the sweep; counts only the swept replicas
-    args = with_fatal_counts(_restrict(args, rest))
-    swept_decoded, swept_w = _sweep(args)
+    geom = _restrict(geom, rest)  # drops the full arrays before the sweep
+    swept_decoded, swept_w = _sweep(with_fatal_counts(geom))
     decoded = np.empty(trace.n_users, dtype=bool)
     decided_w = np.empty(trace.n_users)
     decoded[rest], decided_w[rest] = swept_decoded, swept_w

@@ -16,7 +16,6 @@ from .model import (
     DegreeDistribution,
     ModelError,
     SystemConfig,
-    T_P,
     UserTransmission,
     validate_config,
 )
@@ -59,8 +58,9 @@ def place_replicas(
     """Start times for ``degree`` replicas of a user arriving at ``t0``.
 
     The first replica starts at ``t0``; the remaining ``degree - 1`` starts are
-    distributed uniformly over the region of ``[t0, t0 + T_f - T_p]`` where all
-    pairwise separations (including to the first replica) stay >= one packet.
+    distributed uniformly over the region of ``[t0, t0 + vf_span - 1]`` where
+    all pairwise separations (including to the first replica) stay >= one
+    packet.
     The draw uses the spacing construction: sorted i.i.d. uniforms on the
     shrunken range plus one packet of mandatory gap per replica, which realises
     exactly the separation-conditioned uniform law and also covers the
@@ -74,14 +74,11 @@ def _relative_offsets(
     degree: int, count: int, cfg: SystemConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """(count, degree-1) matrix of offsets from the arrival, sorted per row."""
-    t_p = cfg.packet_duration
-    slack = cfg.vf_duration - degree * t_p
+    slack = cfg.vf_span - degree
     if slack < 0:
-        raise PlacementInfeasible(
-            f"{degree} replicas cannot fit a virtual frame of {cfg.vf_duration}"
-        )
+        raise PlacementInfeasible(f"{degree} replicas cannot fit a virtual frame of {cfg.vf_span}")
     y = np.sort(rng.uniform(0.0, slack, size=(count, degree - 1)), axis=1)
-    return y + np.arange(1, degree) * t_p
+    return y + np.arange(1, degree)
 
 
 @dataclass
@@ -132,7 +129,7 @@ class TrafficTrace:
         Users arriving close to the horizon are still generated (they provide
         interference) but flagged here for exclusion from loss statistics.
         """
-        return self.arrival + self.vf_span * T_P <= self.horizon
+        return self.arrival + self.vf_span <= self.horizon
 
     def dump_replicas(self, stream) -> None:
         """One line per replica: ``user_id,degree,replica_index,start_time``."""

@@ -47,7 +47,7 @@ def manual_trace(cfg: SystemConfig, users) -> TrafficTrace:
     rep_ptr = np.zeros(len(users) + 1, dtype=np.int64)
     np.cumsum(degree, out=rep_ptr[1:])
     rep_start = np.array([t for u in users for t in u], dtype=np.float64)
-    horizon = float(rep_start.max() + 10 * cfg.vf_duration) if len(rep_start) else 10 * cfg.vf_duration
+    horizon = float(rep_start.max() + 10 * cfg.vf_span) if len(rep_start) else 10 * cfg.vf_span
     return TrafficTrace(
         arrival=arrival,
         degree=degree,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from irasim.channel import (
-    assess_replica,
     avg_mutual_information,
     build_timeline,
     is_decodable,
@@ -126,7 +125,3 @@ class TestDecodability:
 
     def test_boundary_is_inclusive(self):
         assert is_decodable(1.5, 1.5)
-
-    def test_assess_replica_report_consistency(self):
-        rep = assess_replica(TimeInterval(0.0, 1.0), [TimeInterval(0.2, 1.2)], RHO, 1.5)
-        assert rep.decodable == (1.5 <= rep.avg_mi)

@@ -16,7 +16,7 @@ import pytest
 from irasim import _kernels
 from irasim.channel import clean_fraction
 from irasim.model import DegreeDistribution, SystemConfig
-from irasim.receiver import _restrict, peel, run_sic_kernel, sweep_inputs, with_fatal_counts
+from irasim.receiver import _geometry, _restrict, peel, run_sic_kernel, sweep_inputs, with_fatal_counts
 from irasim.traffic import TrafficTrace, generate_trace
 
 from conftest import manual_trace
@@ -35,7 +35,7 @@ def mi_level(snr, k):
 
 def skip_off(args):
     """The same sweep arguments with the fatal test switched off."""
-    return args[:12] + (0.0, np.zeros_like(args[13])) + args[14:]
+    return args[:13] + (0.0, np.zeros_like(args[14]))
 
 
 def assert_skip_is_exact(args):
@@ -90,14 +90,14 @@ def test_random_traces_match_the_sweep_without_the_test():
             continue
         args = sweep_inputs(trace, cfg)
         phi = clean_fraction(cfg.snr_linear, cfg.rate)
-        rad, n_fatal = args[12], args[13]
+        rad, n_fatal = args[13], args[14]
         if phi == 0.0:
             regimes["phi0"] += 1
             assert rad == 0.0 and not n_fatal.any()
         else:
             regimes["phi1" if phi == 1.0 else "partial"] += 1
             # off only where phi is too small for the margin to dominate rounding
-            assert 0.0 < rad < phi * cfg.packet_duration or (rad == 0.0 and phi < 1e-2)
+            assert 0.0 < rad < phi or (rad == 0.0 and phi < 1e-2)
             switched_on += rad > 0.0
         assert_skip_is_exact(args)
         traces += 1
@@ -130,7 +130,7 @@ def checked_sweep():
     sweep = _kernels._build_sweep(hook, memoryview)
 
     def run(args):
-        seen["rad"] = args[12]
+        seen["rad"] = args[13]
         seen["calls"] = 0
         out = sweep(*args)
         return out, seen["calls"]
@@ -164,12 +164,12 @@ def test_decrement_uses_the_counting_expressions():
     # replica at 80. Cancelling B must leave A's count at 1 (C), so A is
     # never evaluated while C is active.
     cfg = SystemConfig.from_db(6.0, 1.5, 200.0)
-    rad = with_fatal_counts(sweep_inputs(manual_trace(cfg, [(50.0, 60.0), (50.2, 60.0)]), cfg))[12]
+    rad = with_fatal_counts(sweep_inputs(manual_trace(cfg, [(50.0, 60.0), (50.2, 60.0)]), cfg))[13]
     edge = float(np.float64(50.0) + rad)
     trace = manual_trace(cfg, [(50.0, 60.0), (edge, 80.0), (50.2, 60.0)])
     args = sweep_inputs(trace, cfg)
     # sorted: A at 50 (C fatal), C at 50.2 (A and B), B at the edge (C)
-    assert args[12] == rad and args[13][:3].tolist() == [1, 2, 1]
+    assert args[13] == rad and args[14][:3].tolist() == [1, 2, 1]
     (decoded, _, _, _), _ = checked_sweep()(args)
     assert decoded.tolist() == [False, True, False]
 
@@ -179,14 +179,15 @@ def test_restricted_inputs_keep_valid_counts():
     split = 0
     for seed in range(12):
         trace = generate_trace(cfg, MIXES[seed % 4], 0.1, 3000.0, np.random.default_rng(seed))
-        args = sweep_inputs(trace, cfg)
-        peeled = peel(args)
+        geom = _geometry(trace, cfg)
+        peeled = peel(geom)
         if peeled is None:
             continue
-        carried = _restrict(args, peeled[0])
-        recounted = with_fatal_counts(carried)
-        assert carried[12] == recounted[12] > 0.0
-        assert np.array_equal(carried[13], recounted[13])
+        rest = peeled[0]
+        full = sweep_inputs(trace, cfg)
+        restricted = with_fatal_counts(_restrict(geom, rest))
+        assert restricted[13] == full[13] > 0.0
+        assert np.array_equal(restricted[14], full[14][rest[full[1]]])
         split += 1
     assert split >= 6
 
@@ -196,7 +197,7 @@ def test_counts_hold_the_replicas_strictly_within_the_radius(rate):
     cfg = SystemConfig.from_db(6.0, rate, 20.0)
     trace = generate_trace(cfg, MIXES[2], 1.0, 300.0, np.random.default_rng(9))
     args = sweep_inputs(trace, cfg)
-    rep_start, rad, n_fatal, nb_lo, nb_hi = args[0], args[12], args[13], args[14], args[15]
+    rep_start, nb_lo, nb_hi, rad, n_fatal = args[0], args[11], args[12], args[13], args[14]
     assert n_fatal.dtype == np.int32
     assert n_fatal.tolist() == brute_fatal_counts(rep_start, rad).tolist()
     if rate == 0.5:  # below I1: phi = 0, empty fatal ranges
@@ -208,7 +209,7 @@ def test_counts_hold_the_replicas_strictly_within_the_radius(rate):
         fatal = np.flatnonzero((rep_start > s - rad) & (rep_start < s + rad))
         assert nb_lo[i] <= fatal.min() <= i <= fatal.max() < nb_hi[i]
     if rate == 2.5:  # at or above I0: every overlap is fatal
-        assert rad == pytest.approx(cfg.packet_duration, rel=1e-8)
+        assert rad == pytest.approx(1.0, rel=1e-8)
 
 
 def _pair_outcome(cfg, base, offset):
@@ -232,28 +233,28 @@ def _nudged(x, k):
 def test_offsets_within_ulps_of_the_threshold(base):
     cfg = SystemConfig.from_db(6.0, 1.5, 200.0)
     phi = clean_fraction(cfg.snr_linear, cfg.rate)
-    # a single interferer at phi * t_p +- a few ulps: inside the margin, so
+    # a single interferer at phi +- a few ulps: inside the margin, so
     # never counted, and avg_mi decides the knife edge as before
     for k in range(-4, 5):
-        args, _ = _pair_outcome(cfg, base, _nudged(base + phi * cfg.packet_duration, k))
-        rad = args[12]
-        assert 0.0 < rad < phi * cfg.packet_duration
-        assert args[13][:2].tolist() == [0, 0]
+        args, _ = _pair_outcome(cfg, base, _nudged(base + phi, k))
+        rad = args[13]
+        assert 0.0 < rad < phi
+        assert args[14][:2].tolist() == [0, 0]
     # at rad +- a few ulps the test starts to count, and nobody decodes
     for k in range(-4, 5):
         offset = _nudged(base + rad, k)
         args, decoded = _pair_outcome(cfg, base, offset)
         want = [int(offset < base + rad), int(base > offset - rad)]
-        assert args[13][:2].tolist() == want
+        assert args[14][:2].tolist() == want
         assert not decoded.any()
-    assert _pair_outcome(cfg, base, _nudged(base + rad, -1))[0][13][0] == 1
+    assert _pair_outcome(cfg, base, _nudged(base + rad, -1))[0][14][0] == 1
 
 
 def test_guard_switches_the_test_off_near_1e9():
     cfg = SystemConfig.from_db(6.0, 1.5, 20.0)
     trace = generate_trace(cfg, MIXES[2], 0.75, 400.0, np.random.default_rng(4))
     near = sweep_inputs(trace, cfg)
-    assert near[12] > 0.0 and near[13].any()
+    assert near[13] > 0.0 and near[14].any()
     shifted = TrafficTrace(
         arrival=trace.arrival + 1e9,
         degree=trace.degree,
@@ -264,7 +265,7 @@ def test_guard_switches_the_test_off_near_1e9():
         vf_span=trace.vf_span,
     )
     args = sweep_inputs(shifted, cfg)
-    assert args[12] == 0.0 and not args[13].any()
+    assert args[13] == 0.0 and not args[14].any()
     assert_skip_is_exact(args)
     decoded, decided_w = run_sic_kernel(shifted, cfg)
     want = _kernels.sic_sweep(*skip_off(args))
@@ -279,5 +280,5 @@ def test_receiver_emits_no_regime_warning_per_batch():
         warnings.simplefilter("error")
         args = sweep_inputs(trace, cfg)
         decoded, _ = run_sic_kernel(trace, cfg)
-    assert args[12] > 0.0  # phi = 1, the test is on
+    assert args[13] > 0.0  # phi = 1, the test is on
     assert not decoded.any()

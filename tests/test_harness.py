@@ -2,12 +2,15 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irasim import cli, harness
+from irasim import cli, errorfloor, harness
 from irasim.cli import main as cli_main
 from irasim.errorfloor import builtin_catalog, plr_floor
 from irasim.harness import (
     MAX_EXPECTED_BATCHES,
+    MAX_JOBS,
     ConfigError,
     ExperimentConfig,
     parse_config_file,
@@ -164,7 +167,7 @@ class TestConfigFile:
             )
 
         # the load at which 10^4 users take MAX_EXPECTED_BATCHES batches
-        edge = 10_000 / (MAX_EXPECTED_BATCHES * (harness.BATCH_VF_COUNT - 1) * system.vf_duration)
+        edge = 10_000 / (MAX_EXPECTED_BATCHES * (harness.BATCH_VF_COUNT - 1) * system.vf_span)
         make(edge * 1.000001)
         for load, min_users in [(edge * 0.999999, 10_000), (1e-9, 10_000), (0.2, 10**12)]:
             with pytest.raises(ConfigError, match="batches"):
@@ -261,7 +264,7 @@ class TestRunPoint:
             r = _simulate_batch(fast_cfg.system, fast_cfg.distribution, g, 7, b)
             excluded += r.n_trace_users - r.users
             total += r.n_trace_users
-        span = fast_cfg.system.vf_duration
+        span = fast_cfg.system.vf_span
         horizon = BATCH_VF_COUNT * span + 2 * fast_cfg.system.window_length
         expected_excluded = g * (2 * fast_cfg.system.window_length + span) * 10
         assert excluded <= 2 * expected_excluded
@@ -509,3 +512,124 @@ def test_point_seed_is_stable():
     assert point_seed(99, 0) == point_seed(99, 0)
     assert point_seed(99, 0) != point_seed(99, 1)
     assert point_seed(99, 0) != point_seed(98, 0)
+
+
+class TestInputGuards:
+    """Inputs that must end in exit 2 or 3 before any batch, draw, pool or
+    long loop starts."""
+
+    @pytest.fixture()
+    def no_pool(self, monkeypatch):
+        def pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+
+    def test_jobs_cap(self, fast_cfg, no_pool, no_batches):
+        s = point_seed(fast_cfg.seed, 0)
+        for run in (lambda: sweep(fast_cfg, jobs=MAX_JOBS + 1), lambda: run_point(fast_cfg, 0.2, s, jobs=10**5)):
+            with pytest.raises(ConfigError, match="jobs"):
+                run()
+
+    @pytest.mark.parametrize("command", [["sweep"], ["simulate", "--load", "0.2"]])
+    def test_jobs_cap_exit_code(self, config_file, command, no_pool, no_batches, capsys):
+        assert cli_main([command[0], str(config_file), *command[1:], "--jobs", "100000"]) == 2
+        assert "jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("min_users_per_point = 10000", "min_users_per_point = 1e5"),
+            ("seed = 99", "seed = one"),
+            ("snr_db = 6.0", "snr_db = abc"),
+            ("snr_db = 6.0", "snr_db = 1e308"),
+        ],
+    )
+    def test_bad_scalar_values(self, config_file, tmp_path, old, new, capsys):
+        config_file.write_text(CONFIG_TEXT.replace(old, new))
+        with pytest.raises(ConfigError):
+            parse_config_file(config_file)
+        assert cli_main(["predict", str(config_file), "--out", str(tmp_path / "f.csv")]) == 2
+        assert new.split(" = ")[0] in capsys.readouterr().err
+
+    def test_huge_user_count_is_not_divided(self):
+        # 10**400 / users_per_batch would overflow a float
+        with pytest.raises(ConfigError, match="batches"):
+            ExperimentConfig(
+                system=SystemConfig.from_db(6.0, 1.5, 20.0),
+                distribution=DegreeDistribution.regular(2),
+                load_grid=(0.2,),
+                min_users_per_point=10**400,
+            )
+
+    def test_non_utf8_config(self, config_file, tmp_path):
+        config_file.write_bytes(CONFIG_TEXT.encode() + b"# \xff\xfe\n")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            parse_config_file(config_file)
+        assert cli_main(["predict", str(config_file), "--out", str(tmp_path / "f.csv")]) == 2
+
+    def test_unreadable_catalog(self, config_file, tmp_path, capsys):
+        out = str(tmp_path / "f.csv")
+        bad = tmp_path / "cat.txt"
+        bad.write_bytes(b"d22-m2 0,2 2 1 \xff\n")
+        for catalog in ("/nonexistent/catalog.txt", str(bad), str(tmp_path)):
+            assert cli_main(["predict", str(config_file), "--catalog", catalog, "--out", out]) == 2
+            assert "cannot read catalog" in capsys.readouterr().err
+
+    def test_output_is_a_directory(self, config_file, tmp_path, capsys):
+        assert cli_main(["predict", str(config_file), "--out", str(tmp_path)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_huge_poisson_mixture_refused_before_the_first_term(self, config_file, tmp_path, monkeypatch, capsys):
+        # vf_span = 1e300 would need about 2e299 terms per load point
+        def no_term(*args):
+            raise AssertionError("the mixture started summing")
+
+        monkeypatch.setattr(errorfloor, "_poisson_log_pmf", no_term)
+        config_file.write_text(CONFIG_TEXT.replace("vf_span = 20", "vf_span = 1e300"))
+        assert cli_main(["predict", str(config_file), "--out", str(tmp_path / "f.csv")]) == 3
+        assert "terms" in capsys.readouterr().err
+        system = SystemConfig.from_db(6.0, 1.5, 20.0)
+        lam_over_cap = (errorfloor.MAX_POISSON_TERMS + 1.0) / system.vf_span
+        for floor in (
+            lambda load: plr_floor(load, system, DegreeDistribution.regular(2)),
+            lambda load: errorfloor.plr_regular(load, system, 2),
+            lambda load: errorfloor.plr_two_user(load, system, 2),
+        ):
+            for load in (lam_over_cap, math.inf, math.nan):
+                with pytest.raises(errorfloor.NonconvergentTruncation):
+                    floor(load)
+
+
+_VALUES = st.one_of(
+    st.sampled_from(["6", "1.5", "20", "2 1.0", "3 0.5", "0.2 0.3", "10000", "inf", "-inf", "nan",
+                     "-1", "0", "1e308", "-1e308", "1e-320", "1e5", "one", "", "9" * 400]),
+    st.floats().map(repr),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+    st.text(max_size=12),
+)
+_LINES = st.one_of(
+    st.sampled_from(CONFIG_TEXT.splitlines()),
+    st.tuples(st.sampled_from(sorted(harness._CONFIG_KEYS) + ["bogus"]), _VALUES).map(" = ".join),
+    st.text(max_size=20),
+)
+_CONFIG_BYTES = st.one_of(
+    st.lists(_LINES, max_size=16).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass")),
+    st.binary(max_size=80),
+)
+
+
+@pytest.fixture(scope="module")
+def generated_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "generated.cfg"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=_CONFIG_BYTES)
+def test_parse_config_file_returns_a_config_or_a_config_error(generated_config, data):
+    generated_config.write_bytes(data)
+    try:
+        cfg = parse_config_file(generated_config)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)

@@ -44,11 +44,11 @@ def test_degree_too_large_for_vf(cfg_tf200_r15):
         dict(snr_linear=4.0, rate=1.5, vf_span=1.5),
         dict(snr_linear=4.0, rate=1.5, vf_span=200.0, window_span=0.5),
         dict(snr_linear=4.0, rate=1.5, vf_span=200.0, window_step=0.0),
-        dict(snr_linear=4.0, rate=1.5, vf_span=200.0, packet_duration=2.0),
         dict(snr_linear=4.0, rate=1.5, vf_span=200.0, window_span=math.inf),
         dict(snr_linear=4.0, rate=1.5, vf_span=200.0, window_span=math.inf, window_step=math.inf),
         dict(snr_linear=4.0, rate=1.5, vf_span=200.0, window_span=math.nan),
         dict(snr_linear=4.0, rate=1.5, vf_span=200.0, window_step=math.nan),
+        dict(snr_linear=4.0, rate=1.5, vf_span=math.inf),
     ],
 )
 def test_invalid_physical_parameters(kwargs):

@@ -12,7 +12,7 @@ import pytest
 
 from irasim import _kernels
 from irasim.model import DegreeDistribution, SystemConfig
-from irasim.receiver import peel, run_sic_kernel, sweep_inputs
+from irasim.receiver import _geometry, peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import generate_trace
 
 from conftest import manual_trace
@@ -40,7 +40,7 @@ def assert_same_as_sweep(trace, cfg):
 
 
 def resolved_share(trace, cfg):
-    peeled = peel(sweep_inputs(trace, cfg))
+    peeled = peel(_geometry(trace, cfg))
     return 0.0 if peeled is None else float(np.mean(~peeled[0]))
 
 
@@ -107,7 +107,7 @@ def test_partner_cancelled_after_last_chance_leaves_user_lost():
     decoded, decided_w = assert_same_as_sweep(trace, cfg)
     assert decoded.tolist() == [True, False, True]
     assert decided_w[0] == decided_w[2] > 10.0
-    assert decided_w[1] > 0.3 + cfg.vf_duration  # lost once its frame left the window
+    assert decided_w[1] > 0.3 + cfg.vf_span  # lost once its frame left the window
     assert resolved_share(trace, cfg) == 1.0
 
 
@@ -174,5 +174,5 @@ def test_isolated_trace_is_resolved_by_the_pre_pass(cfg200):
 
 def test_dense_trace_is_left_to_the_sweep(cfg200):
     trace = generate_trace(cfg200, MIXES[1], 2.0, 2000.0, np.random.default_rng(3))
-    assert peel(sweep_inputs(trace, cfg200)) is None
+    assert peel(_geometry(trace, cfg200)) is None
     assert_same_as_sweep(trace, cfg200)

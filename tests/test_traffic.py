@@ -131,7 +131,7 @@ class TestGenerateTrace:
         assert trace.n_users > 0
         for u in trace.users:  # constructor re-validates every invariant
             span = u.replica_starts[-1] + 1.0 - u.replica_starts[0]
-            assert span <= cfg_tf200_r15.vf_duration + 1e-9
+            assert span <= cfg_tf200_r15.vf_span + 1e-9
             assert span >= (u.degree - 1) * 1.0
         arr = trace.arrival
         assert np.all(np.diff(arr) >= 0)
