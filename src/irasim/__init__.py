@@ -33,10 +33,9 @@ from .model import (
     DegreeDistribution,
     SystemConfig,
     TimeInterval,
-    UserTransmission,
     validate_config,
 )
 from .receiver import ReceiverState, run_receiver, sic_pass, slide
-from .traffic import TrafficTrace, generate_trace, place_replicas, sample_degree
+from .traffic import TrafficTrace, generate_trace, sample_degrees
 
 __version__ = "0.1.0"

@@ -43,10 +43,6 @@ class InterferenceTimeline:
     def end(self) -> float:
         return self.segments[-1][0].end
 
-    @property
-    def max_count(self) -> int:
-        return max(k for _, k in self.segments)
-
 
 def symbol_mi(snr: float, interferers: int) -> float:
     """Mutual information of one symbol under ``interferers`` equal-power users."""
@@ -118,23 +114,3 @@ def is_decodable(avg_mi: float, rate: float) -> bool:
     """Decoding succeeds exactly when the rate does not exceed the average MI."""
     return rate <= avg_mi
 
-
-def quantized_avg_mi(tl: InterferenceTimeline, snr: float, n_symbols: int) -> float:
-    """Average MI after quantising the replica into ``n_symbols`` equal symbols.
-
-    Each symbol takes the interferer count at its midpoint. Converges to
-    :func:`avg_mutual_information` as ``n_symbols`` grows; used to bound the
-    effect of ignoring the symbol grid.
-    """
-    begin = tl.begin
-    width = (tl.end - begin) / n_symbols
-    acc = 0.0
-    segments = tl.segments
-    idx = 0
-    last = len(segments) - 1
-    for i in range(n_symbols):
-        t = begin + (i + 0.5) * width
-        while idx < last and t >= segments[idx][0].end:
-            idx += 1
-        acc += symbol_mi(snr, segments[idx][1])
-    return acc / n_symbols

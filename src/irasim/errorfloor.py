@@ -118,10 +118,8 @@ class FloorParams:
     """Derived floor geometry for one scenario."""
 
     phi: float
-    t_v: float
     n_v: int
     n_p: float
-    collision_regime: bool
 
 
 _BUILTIN_ROWS = (
@@ -190,10 +188,8 @@ def vp_count(vf_span: float, phi: float) -> int:
 
 def floor_params(cfg: SystemConfig) -> FloorParams:
     phi = vulnerable_fraction(cfg.snr_linear, cfg.rate)
-    collision = phi >= 1.0
-    t_v = 2.0 * phi
     n_v = vp_count(cfg.vf_span, phi) if phi > 0.0 else 0
-    return FloorParams(phi=phi, t_v=t_v, n_v=n_v, n_p=cfg.vf_span, collision_regime=collision)
+    return FloorParams(phi=phi, n_v=n_v, n_p=cfg.vf_span)
 
 
 def profile_selection_count(m: int, profile, dist: DegreeDistribution) -> float:
@@ -304,15 +300,15 @@ def _poisson_log_pmf(m: int, lam: float) -> float:
     return m * math.log(lam) - lam - math.lgamma(m + 1)
 
 
-def _mix_over_poisson(lam: float, per_m, margin_terms: int, diagnostics: dict | None) -> float:
+def _mix_over_poisson(lam: float, per_m, diagnostics: dict | None) -> float:
     """Sum ``per_m(m) * Poisson(m; lam)`` for m >= 2 with adaptive truncation.
 
     Terms are accumulated until the Poisson tail mass beyond m (bounded by a
     geometric series once m exceeds the mean) drops below ``TAIL_EPS`` and
     the last increment contributes less than ``TERM_REL_EPS`` of the running
-    sum, then ``margin_terms`` extra terms are added. A hard cap guards
-    against runaway sums; a cap above ``MAX_POISSON_TERMS`` (or a ``lam``
-    that is not finite) is refused before the first term.
+    sum. A hard cap guards against runaway sums; a cap above
+    ``MAX_POISSON_TERMS`` (or a ``lam`` that is not finite) is refused
+    before the first term.
     """
     cap = lam + 12.0 * math.sqrt(lam) + 50.0
     if not cap <= MAX_POISSON_TERMS:
@@ -322,27 +318,19 @@ def _mix_over_poisson(lam: float, per_m, margin_terms: int, diagnostics: dict | 
         )
     total = 0.0
     m_cap = int(cap)
-    m = 2
-    remaining_margin = -1
-    while True:
+    for m in range(2, m_cap + 1):
         pm = math.exp(_poisson_log_pmf(m, lam))
         inc = pm * per_m(m)
         total += inc
-        if remaining_margin < 0:
-            ratio = lam / (m + 2.0)
-            if ratio < 1.0:
-                tail_bound = pm * (lam / (m + 1.0)) / (1.0 - ratio)
-                if tail_bound < TAIL_EPS and inc <= TERM_REL_EPS * total:
-                    remaining_margin = margin_terms
-        if remaining_margin == 0:
-            break
-        if remaining_margin > 0:
-            remaining_margin -= 1
-        elif m >= m_cap:
-            raise NonconvergentTruncation(
-                f"load mixture did not converge within {m_cap} terms (lambda={lam})"
-            )
-        m += 1
+        ratio = lam / (m + 2.0)
+        if ratio < 1.0:
+            tail_bound = pm * (lam / (m + 1.0)) / (1.0 - ratio)
+            if tail_bound < TAIL_EPS and inc <= TERM_REL_EPS * total:
+                break
+    else:
+        raise NonconvergentTruncation(
+            f"load mixture did not converge within {m_cap} terms (lambda={lam})"
+        )
     if diagnostics is not None:
         diagnostics["m_terms"] = m - 1
     return total
@@ -354,7 +342,6 @@ def plr_floor(
     dist: DegreeDistribution,
     catalog: tuple[CollisionPattern, ...] | None = None,
     *,
-    margin_terms: int = 0,
     diagnostics: dict | None = None,
 ) -> float:
     """Error-floor approximation of the packet loss rate at ``load``.
@@ -372,7 +359,7 @@ def plr_floor(
     def per_m(m: int) -> float:
         return sum(prob_user_in_pattern(m, s, n_v, dist, diagnostics) for s in feasible)
 
-    return _mix_over_poisson(lam, per_m, margin_terms, diagnostics)
+    return _mix_over_poisson(lam, per_m, diagnostics)
 
 
 def plr_regular(
@@ -381,7 +368,6 @@ def plr_regular(
     degree: int,
     catalog: tuple[CollisionPattern, ...] | None = None,
     *,
-    margin_terms: int = 0,
     diagnostics: dict | None = None,
 ) -> float:
     """Specialisation of :func:`plr_floor` to the regular distribution where
@@ -405,7 +391,7 @@ def plr_regular(
             acc += _clamp(num / den, diagnostics)
         return acc
 
-    return _mix_over_poisson(lam, per_m, margin_terms, diagnostics)
+    return _mix_over_poisson(lam, per_m, diagnostics)
 
 
 def plr_two_user(
@@ -413,7 +399,6 @@ def plr_two_user(
     cfg: SystemConfig,
     degree: int,
     *,
-    margin_terms: int = 0,
     diagnostics: dict | None = None,
 ) -> float:
     """Loss floor when only the two-user pattern is considered for a regular
@@ -432,7 +417,7 @@ def plr_two_user(
     def per_m(m: int) -> float:
         return _clamp((2 * math.comb(m, 2)) / (m * den_base), diagnostics)
 
-    return _mix_over_poisson(lam, per_m, margin_terms, diagnostics)
+    return _mix_over_poisson(lam, per_m, diagnostics)
 
 
 # -- brute-force validation of the configuration counts ----------------------

@@ -47,6 +47,13 @@ MIN_USERS_FOR_EARLY_STOP = 100_000
 #: tests and the benchmark is under 840 batches.
 MAX_EXPECTED_BATCHES = 100_000
 
+#: Cap on the window steps of one batch's grid. Its length is at most
+#: ``(BATCH_VF_COUNT + 1 + 3 * window_span) / window_step + 3`` steps: the
+#: arrivals span the batch's frames and a window on each side, and the grid
+#: runs from a window before the first arrival to a frame after the last.
+#: The shipped configs need about 2,100.
+MAX_BATCH_STEPS = 10**6
+
 #: Cap on ``jobs``. A process pool forks all its workers at the first
 #: submission, so the cap bounds the processes one sweep can start. The
 #: largest value the tests and the benchmark use is 8.
@@ -81,6 +88,11 @@ class ExperimentConfig:
                     f"load {g} draws about {g * users_per_batch:.3g} users per batch, "
                     f"too few for {self.min_users_per_point} users in {MAX_EXPECTED_BATCHES} batches"
                 )
+        span, step = self.system.window_span, self.system.window_step
+        if BATCH_VF_COUNT + 1 + 3 * span > (MAX_BATCH_STEPS - 3) * step:  # compared, not divided
+            raise ConfigError(
+                f"window_step {step:g} gives a batch more than {MAX_BATCH_STEPS} window steps"
+            )
         if list(self.load_grid) != sorted(self.load_grid):
             raise ConfigError("load grid must be sorted ascending")
         if self.min_users_per_point < 10_000:

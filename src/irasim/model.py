@@ -23,10 +23,6 @@ from functools import cached_property
 #: Absolute tolerance on the degree distribution normalisation.
 PROB_TOL = 1e-12
 
-# Replica starts are assembled as t0 + relative offset; allow one part in 1e9
-# of rounding slack when re-checking the minimum separation.
-_GAP_TOL = 1e-9
-
 
 class ModelError(ValueError):
     """A physical parameter or distribution violates the system model."""
@@ -60,14 +56,6 @@ class TimeInterval:
     @property
     def length(self) -> float:
         return self.end - self.begin
-
-    def overlaps(self, other: "TimeInterval") -> bool:
-        return self.begin < other.end and other.begin < self.end
-
-    def overlap_length(self, other: "TimeInterval") -> float:
-        lo = max(self.begin, other.begin)
-        hi = min(self.end, other.end)
-        return hi - lo if hi > lo else 0.0
 
     def shifted(self, dt: float) -> "TimeInterval":
         return TimeInterval(self.begin + dt, self.end + dt)
@@ -195,46 +183,6 @@ class DegreeDistribution:
             if d == degree:
                 return p
         return 0.0
-
-
-@dataclass(frozen=True)
-class UserTransmission:
-    """One user's arrival and the start times of all its replicas.
-
-    The first replica goes out at the arrival instant; the remaining ones lie
-    inside the user's virtual frame, pairwise separated by at least one packet
-    duration so the user never interferes with itself.
-    """
-
-    user_id: int
-    arrival: float
-    degree: int
-    replica_starts: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "replica_starts", tuple(float(t) for t in self.replica_starts))
-        if self.degree < 2:
-            raise InvalidPhysicalParameter(f"repetition degree must be >= 2, got {self.degree}")
-        if len(self.replica_starts) != self.degree:
-            raise InvalidPhysicalParameter(
-                f"expected {self.degree} replica starts, got {len(self.replica_starts)}"
-            )
-        if self.replica_starts[0] != self.arrival:
-            raise InvalidPhysicalParameter("first replica must start at the arrival instant")
-        prev = self.replica_starts[0]
-        for t in self.replica_starts[1:]:
-            if t - prev < 1.0 - _GAP_TOL:
-                raise InvalidPhysicalParameter(
-                    f"replica starts {prev} and {t} closer than one packet duration"
-                )
-            prev = t
-
-    def intervals(self) -> tuple[TimeInterval, ...]:
-        return tuple(TimeInterval(t, t + 1.0) for t in self.replica_starts)
-
-    def fits_virtual_frame(self, vf_span: float) -> bool:
-        """All replicas lie within ``[arrival, arrival + vf_span - 1]`` starts."""
-        return self.replica_starts[-1] <= self.arrival + vf_span - 1.0 + _GAP_TOL
 
 
 def validate_config(cfg: SystemConfig, dist: DegreeDistribution) -> None:

@@ -277,20 +277,10 @@ _MAX_ROUNDS = 64
 #: memory on dense traces.
 _MIN_PEELED_SHARE = 1 / 4
 
-
-def _first_step(x: np.ndarray, offset: float, strict: bool, w0: float, step_len: float) -> np.ndarray:
-    """Smallest step ``k >= 0`` with ``x < (w0 + k*step_len) + offset``, or
-    ``<=`` when not ``strict``, evaluated with the sweep's float expressions
-    for the window start (``offset = 0``) and end (``offset = win_len``)."""
-    holds = np.less if strict else np.less_equal
-    k = np.maximum(np.ceil((x - offset - w0) / step_len), 0.0)
-    while True:
-        down = (k > 0.0) & holds(x, (w0 + (k - 1.0) * step_len) + offset)
-        up = ~holds(x, (w0 + k * step_len) + offset)
-        if not (down.any() or up.any()):
-            return k.astype(np.int64)
-        k += up
-        k -= down
+#: Longest step grid :func:`peel` lays out as an array. On a longer grid it
+#: leaves the trace to the sweep, which visits only the steps where a user
+#: expires or a replica is admitted. The shipped configs need about 2,100.
+_MAX_PEEL_STEPS = 10**6
 
 
 def peel(geom: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -305,16 +295,18 @@ def peel(geom: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     the sweep still has to classify, and the other two arrays hold the
     outcome of each untainted user in arrival order. It returns ``None``, to
     leave everyone to the sweep, when fewer than ``_MIN_PEELED_SHARE`` of the
-    users are untainted, when nothing can decode at the code rate, and when
-    a round cap or a guard below trips.
+    users are untainted, when nothing can decode at the code rate, when the
+    grid has more than ``_MAX_PEEL_STEPS`` steps, and when a round cap or a
+    guard below trips.
 
     Why the outcome is exact. On the sweep's grid ``w(k) = w0 + k*step_len``
     let ``A_i`` be the step at which replica ``i`` is admitted (first ``k``
     with ``s_i + 1 <= w(k) + win_len``), ``L_i`` the last step with
     ``s_i >= w(k)``, so that ``i`` can decode only at steps in
     ``[A_i, L_i]``, and ``E_u`` the step at which user ``u`` expires (first
-    ``k`` with ``vf_end[u] < w(k)``). All three come from the sweep's own
-    float expressions.
+    ``k`` with ``vf_end[u] < w(k)``). All three are binary searches on the
+    grid ``w`` laid out with the sweep's own float expressions, which are
+    non-decreasing in ``k``.
 
     * The MI of replica ``i`` changes only when the owner ``v`` of its
       partner is cancelled, by decoding or by expiry. Expiry comes too late
@@ -348,7 +340,7 @@ def peel(geom: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     # the sweep's mi_table[0] and mi_table[1]
     mi0 = math.log2(1.0 + snr / (1.0 + 0 * snr))
     mi1 = math.log2(1.0 + snr / (1.0 + 1 * snr))
-    if not mi0 >= rate:
+    if not mi0 >= rate or n_steps > _MAX_PEEL_STEPS:
         return None
 
     tainted = ~np.logical_and.reduceat((nb_hi - nb_lo <= 2)[pos], user_ptr[:-1])
@@ -390,11 +382,12 @@ def peel(geom: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     del keep, paired, hit, number, untainted
 
     never = n_steps  # every user expires before the sweep's last step
-    expiry = _first_step(vf_end[users], 0.0, True, w0, step_len)
+    w = w0 + np.arange(n_steps) * step_len
+    expiry = w.searchsorted(vf_end[users], "right")
     s = rep_start[cand]
     s_end = s + 1.0
-    admit = _first_step(s_end, win_len, False, w0, step_len)
-    last = _first_step(s, 0.0, True, w0, step_len) - 1
+    admit = (w + win_len).searchsorted(s_end, "left")
+    last = w.searchsorted(s, "right") - 1
     # avg_mi against the one active partner, operation by operation
     a = rep_start[partner]
     b = np.minimum(a + 1.0, s_end)
@@ -406,7 +399,7 @@ def peel(geom: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     if expiry.max() >= never or np.any(overlap & (expiry[partner_owner] <= last)):
         return None
     waits = overlap & ~(acc >= rate)  # decodes only once its partner is cancelled
-    del a, b, acc, s, s_end, overlap
+    del a, b, acc, s, s_end, overlap, w
 
     # replicas that decode at admission, or never, bound D from the start;
     # the waiting ones are iterated from D = inf

@@ -8,17 +8,11 @@ independently seeded generators may produce traces concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    DegreeDistribution,
-    ModelError,
-    SystemConfig,
-    UserTransmission,
-    validate_config,
-)
+from .model import DegreeDistribution, ModelError, SystemConfig, validate_config
 
 
 class PlacementInfeasible(ModelError):
@@ -37,11 +31,6 @@ _ARRIVAL_CHUNK = 8192
 MAX_TRACE_USERS = 5_000_000
 
 
-def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
-    """Draw one repetition degree from ``dist``."""
-    return int(sample_degrees(dist, 1, rng)[0])
-
-
 def sample_degrees(dist: DegreeDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` repetition degrees by inverting the distribution's CDF."""
     degrees = np.asarray(dist.degrees, dtype=np.int64)
@@ -52,28 +41,16 @@ def sample_degrees(dist: DegreeDistribution, n: int, rng: np.random.Generator) -
     return degrees[idx]
 
 
-def place_replicas(
-    t0: float, degree: int, cfg: SystemConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Start times for ``degree`` replicas of a user arriving at ``t0``.
-
-    The first replica starts at ``t0``; the remaining ``degree - 1`` starts are
-    distributed uniformly over the region of ``[t0, t0 + vf_span - 1]`` where
-    all pairwise separations (including to the first replica) stay >= one
-    packet.
-    The draw uses the spacing construction: sorted i.i.d. uniforms on the
-    shrunken range plus one packet of mandatory gap per replica, which realises
-    exactly the separation-conditioned uniform law and also covers the
-    degenerate case where the frame fits the replicas with zero slack.
-    """
-    rel = _relative_offsets(degree, 1, cfg, rng)[0]
-    return t0 + np.concatenate(([0.0], rel))
-
-
 def _relative_offsets(
     degree: int, count: int, cfg: SystemConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """(count, degree-1) matrix of offsets from the arrival, sorted per row."""
+    """(count, degree-1) matrix of offsets from the arrival, sorted per row.
+
+    Sorted uniforms on the slack ``vf_span - degree`` plus one packet of gap
+    per replica: exactly the uniform law over the starts in ``[0, vf_span -
+    1]`` that lie pairwise, the arrival's included, at least one packet
+    apart, also when the slack is 0.
+    """
     slack = cfg.vf_span - degree
     if slack < 0:
         raise PlacementInfeasible(f"{degree} replicas cannot fit a virtual frame of {cfg.vf_span}")
@@ -97,7 +74,6 @@ class TrafficTrace:
     horizon: float
     load: float
     vf_span: float
-    _users: list[UserTransmission] | None = field(default=None, repr=False)
 
     @property
     def n_users(self) -> int:
@@ -106,30 +82,6 @@ class TrafficTrace:
     @property
     def n_replicas(self) -> int:
         return len(self.rep_start)
-
-    def user(self, i: int) -> UserTransmission:
-        starts = self.rep_start[self.rep_ptr[i]: self.rep_ptr[i + 1]]
-        return UserTransmission(
-            user_id=i,
-            arrival=float(self.arrival[i]),
-            degree=int(self.degree[i]),
-            replica_starts=tuple(float(t) for t in starts),
-        )
-
-    @property
-    def users(self) -> list[UserTransmission]:
-        if self._users is None:
-            self._users = [self.user(i) for i in range(self.n_users)]
-        return self._users
-
-    @property
-    def complete_mask(self) -> np.ndarray:
-        """True for users whose whole virtual frame lies inside the horizon.
-
-        Users arriving close to the horizon are still generated (they provide
-        interference) but flagged here for exclusion from loss statistics.
-        """
-        return self.arrival + self.vf_span <= self.horizon
 
     def dump_replicas(self, stream) -> None:
         """One line per replica: ``user_id,degree,replica_index,start_time``."""

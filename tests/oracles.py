@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's own code paths: the loss-floor double
 sum is re-done in arbitrary precision with mpmath, replica placement is
-re-done by literal rejection sampling, and configuration counts by a plain
-labelled enumeration.
+re-done by literal rejection sampling, configuration counts by a plain
+labelled enumeration, and the average mutual information on a symbol grid.
 """
 
+import math
 from itertools import combinations
 
 import mpmath as mp
@@ -68,15 +69,33 @@ def two_user_closed_form(load, vf_span, n_v):
     return (lam - 1.0 + np.exp(-lam)) / (n_v * (n_v - 1.0))
 
 
-def place_replicas_rejection(t0, degree, vf_span, rng, t_p=1.0, max_tries=100000):
+def place_replicas_rejection(t0, degree, vf_span, rng, max_tries=100000):
     """Literal rejection sampler for replica placement (placement oracle)."""
-    hi = vf_span * t_p - t_p
     for _ in range(max_tries):
-        rel = rng.uniform(0.0, hi, degree - 1)
+        rel = rng.uniform(0.0, vf_span - 1.0, degree - 1)
         starts = np.sort(np.concatenate(([0.0], rel)))
-        if np.all(np.diff(starts) >= t_p):
+        if np.all(np.diff(starts) >= 1.0):
             return t0 + starts
     raise RuntimeError("rejection sampler did not terminate")
+
+
+def quantized_avg_mi(tl, snr, n_symbols):
+    """Average MI of an interference timeline after quantising the replica
+    into ``n_symbols`` equal symbols, each taking the interferer count at its
+    midpoint. Converges to the exact segment average as ``n_symbols`` grows,
+    which bounds the effect of ignoring the symbol grid."""
+    begin = tl.begin
+    width = (tl.end - begin) / n_symbols
+    acc = 0.0
+    segments = tl.segments
+    idx = 0
+    last = len(segments) - 1
+    for i in range(n_symbols):
+        t = begin + (i + 0.5) * width
+        while idx < last and t >= segments[idx][0].end:
+            idx += 1
+        acc += math.log2(1.0 + snr / (1.0 + segments[idx][1] * snr))
+    return acc / n_symbols
 
 
 def count_configurations_labelled(pattern, n_periods):

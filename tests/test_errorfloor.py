@@ -75,8 +75,7 @@ class TestFloorParams:
         fp = floor_params(cfg_tf200_r15)
         assert fp.n_v == 225
         assert fp.n_p == 200.0
-        assert fp.t_v == pytest.approx(2 * fp.phi)
-        assert not fp.collision_regime
+        assert fp.phi == vulnerable_fraction(cfg_tf200_r15.snr_linear, 1.5)
 
 
 class TestCombinatorialTerms:
@@ -170,9 +169,10 @@ class TestPlrFloor:
             plr_floor(0.1, cfg_tf200_r15, dist_x2, ())
 
     def test_truncation_stability(self, cfg_tf200_r15, dist_lambda2):
+        # the adaptive cut-off keeps the floor at the 400-term mpmath sum
         for g in (0.02, 0.1, 0.5, 1.0):
             a = plr_floor(g, cfg_tf200_r15, dist_lambda2)
-            b = plr_floor(g, cfg_tf200_r15, dist_lambda2, margin_terms=10)
+            b = plr_floor_mp(g, 200, 6.0, 1.5, dist_lambda2.entries)
             assert a == pytest.approx(b, rel=1e-12)
 
 

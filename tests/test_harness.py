@@ -9,6 +9,7 @@ from irasim import cli, errorfloor, harness
 from irasim.cli import main as cli_main
 from irasim.errorfloor import builtin_catalog, plr_floor
 from irasim.harness import (
+    MAX_BATCH_STEPS,
     MAX_EXPECTED_BATCHES,
     MAX_JOBS,
     ConfigError,
@@ -172,6 +173,22 @@ class TestConfigFile:
         for load, min_users in [(edge * 0.999999, 10_000), (1e-9, 10_000), (0.2, 10**12)]:
             with pytest.raises(ConfigError, match="batches"):
                 make(load, min_users)
+
+    def test_batch_step_cap(self):
+        def make(window_step):
+            return ExperimentConfig(
+                system=SystemConfig.from_db(6.0, 1.5, 20.0, window_step=window_step),
+                distribution=DegreeDistribution.regular(2),
+                load_grid=(0.2,),
+                min_users_per_point=10_000,
+            )
+
+        # the step at which a batch's grid reaches MAX_BATCH_STEPS steps
+        edge = (harness.BATCH_VF_COUNT + 1 + 3 * 3.0) / (MAX_BATCH_STEPS - 3)
+        make(edge * 1.000001)
+        for step in (edge * 0.999999, 1e-15, 5e-324):
+            with pytest.raises(ConfigError, match="window steps"):
+                make(step)
 
     def test_min_users_floor(self):
         with pytest.raises(ConfigError):
@@ -426,6 +443,13 @@ class TestCli:
         config_file.write_text(CONFIG_TEXT.replace("0.2 0.3", grid))
         assert cli_main([command[0], str(config_file), *command[1:]]) == 2
         assert "batches" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate", "--load", "0.05"], ["sweep"], ["predict"]])
+    def test_tiny_window_step_exit_code(self, config_file, command, no_batches, capsys):
+        # about 2e17 window steps per batch, which no peel or sweep could walk
+        config_file.write_text(CONFIG_TEXT.replace("window_step = 0.1", "window_step = 1e-15"))
+        assert cli_main([command[0], str(config_file), *command[1:]]) == 2
+        assert "window steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command",

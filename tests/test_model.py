@@ -9,7 +9,6 @@ from irasim.model import (
     NonNormalizedDistribution,
     SystemConfig,
     TimeInterval,
-    UserTransmission,
     validate_config,
 )
 
@@ -86,39 +85,9 @@ def test_distribution_rejects_duplicates():
 def test_time_interval_invariants():
     iv = TimeInterval(0.0, 1.0)
     assert iv.length == 1.0
-    assert iv.overlap_length(TimeInterval(0.5, 1.5)) == pytest.approx(0.5)
-    assert not iv.overlaps(TimeInterval(1.0, 2.0))
+    assert iv.shifted(2.5) == TimeInterval(2.5, 3.5)
     with pytest.raises(InvalidPhysicalParameter):
         TimeInterval(1.0, 1.0)
-
-
-class TestUserTransmission:
-    def test_valid_construction(self):
-        u = UserTransmission(user_id=0, arrival=5.0, degree=3, replica_starts=(5.0, 7.0, 10.5))
-        assert u.intervals()[0].begin == 5.0
-        assert u.fits_virtual_frame(200.0)
-
-    def test_first_replica_at_arrival(self):
-        with pytest.raises(InvalidPhysicalParameter):
-            UserTransmission(user_id=0, arrival=5.0, degree=2, replica_starts=(5.5, 7.0))
-
-    def test_minimum_separation(self):
-        with pytest.raises(InvalidPhysicalParameter):
-            UserTransmission(user_id=0, arrival=0.0, degree=2, replica_starts=(0.0, 0.8))
-
-    def test_accepted_users_keep_pairwise_separation(self):
-        # any accepted construction has all pairwise gaps >= one packet
-        import numpy as np
-
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            d = int(rng.integers(2, 6))
-            rel = np.sort(rng.uniform(0, 50 - d, d - 1)) + np.arange(1, d)
-            starts = tuple(np.concatenate(([0.0], rel)))
-            u = UserTransmission(user_id=0, arrival=0.0, degree=d, replica_starts=starts)
-            arr = np.array(u.replica_starts)
-            gaps = np.abs(arr[:, None] - arr[None, :])[~np.eye(d, dtype=bool)]
-            assert gaps.min() >= 1.0 - 1e-9
 
 
 def test_mean_degree_matches_direct_expectation(dist_lambda1):

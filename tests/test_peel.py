@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from irasim import _kernels
+from irasim import _kernels, receiver
 from irasim.model import DegreeDistribution, SystemConfig
 from irasim.receiver import _geometry, peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import generate_trace
@@ -176,3 +176,17 @@ def test_dense_trace_is_left_to_the_sweep(cfg200):
     trace = generate_trace(cfg200, MIXES[1], 2.0, 2000.0, np.random.default_rng(3))
     assert peel(_geometry(trace, cfg200)) is None
     assert_same_as_sweep(trace, cfg200)
+
+
+def test_long_step_grid_is_left_to_the_sweep(monkeypatch):
+    # a step of 5e-4 packets lays out about 2.4e6 grid steps, past the cap:
+    # peel stands aside, and with the cap lifted its grid gives the same outcome
+    cfg = SystemConfig.from_db(6.0, 1.5, 50.0, window_step=1e-5)
+    trace = generate_trace(cfg, MIXES[0], 0.05, 1000.0, np.random.default_rng(4))
+    n_steps = _geometry(trace, cfg)[6]
+    assert n_steps > receiver._MAX_PEEL_STEPS
+    assert resolved_share(trace, cfg) == 0.0
+    assert_same_as_sweep(trace, cfg)
+    monkeypatch.setattr(receiver, "_MAX_PEEL_STEPS", n_steps)
+    assert resolved_share(trace, cfg) > 0.5
+    assert_same_as_sweep(trace, cfg)

@@ -9,9 +9,8 @@ from irasim.model import DegreeDistribution, SystemConfig
 from irasim.traffic import (
     HorizonTooShort,
     PlacementInfeasible,
+    _relative_offsets,
     generate_trace,
-    place_replicas,
-    sample_degree,
     sample_degrees,
 )
 
@@ -19,8 +18,7 @@ from oracles import place_replicas_rejection
 
 
 def test_sample_degree_degenerate(dist_x2):
-    rng = np.random.default_rng(0)
-    assert all(sample_degree(dist_x2, rng) == 2 for _ in range(50))
+    assert np.all(sample_degrees(dist_x2, 50, np.random.default_rng(0)) == 2)
 
 
 def test_sample_degree_frequencies_lambda2(dist_lambda2):
@@ -52,46 +50,74 @@ def test_degree_histogram_chi_square(dist_lambda1):
 
 class TestPlacement:
     def test_degree_two_gap_range(self, cfg_tf200_r15):
-        rng = np.random.default_rng(4)
-        for _ in range(500):
-            starts = place_replicas(10.0, 2, cfg_tf200_r15, rng)
-            gap = starts[1] - starts[0]
-            assert starts[0] == 10.0
-            assert 1.0 <= gap <= 199.0
+        rel = _relative_offsets(2, 500, cfg_tf200_r15, np.random.default_rng(4))
+        assert rel.shape == (500, 1)
+        assert np.all((1.0 <= rel) & (rel <= 199.0))
 
     def test_degree_four_constraints(self, cfg_tf200_r15):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            starts = place_replicas(0.0, 4, cfg_tf200_r15, rng)
-            assert len(starts) == 4
-            assert starts[0] == 0.0
-            assert np.all(np.diff(starts) >= 1.0)
-            assert starts[-1] <= 199.0
+        rel = _relative_offsets(4, 300, cfg_tf200_r15, np.random.default_rng(5))
+        starts = np.concatenate([np.zeros((300, 1)), rel], axis=1)
+        assert np.all(np.diff(starts, axis=1) >= 1.0)
+        assert np.all(starts[:, -1] <= 199.0)
 
     def test_degenerate_frame_has_unique_placement(self):
         cfg = SystemConfig(snr_linear=4.0, rate=1.5, vf_span=2.0)
-        rng = np.random.default_rng(6)
-        starts = place_replicas(3.0, 2, cfg, rng)
-        assert starts.tolist() == [3.0, 4.0]
+        rel = _relative_offsets(2, 3, cfg, np.random.default_rng(6))
+        assert rel.tolist() == [[1.0]] * 3
 
     def test_infeasible_degree_raises(self):
         cfg = SystemConfig(snr_linear=4.0, rate=1.5, vf_span=2.0)
         with pytest.raises(PlacementInfeasible):
-            place_replicas(0.0, 3, cfg, np.random.default_rng(7))
+            _relative_offsets(3, 1, cfg, np.random.default_rng(7))
 
     def test_law_matches_rejection_oracle(self):
         # the spacing construction must realise the same distribution as
         # whole-set rejection; compare second-start samples on a tight frame
         cfg = SystemConfig(snr_linear=4.0, rate=1.5, vf_span=5.0)
-        rng_a = np.random.default_rng(8)
-        rng_b = np.random.default_rng(9)
         n = 4000
-        ours = np.array([place_replicas(0.0, 3, cfg, rng_a)[1] for _ in range(n)])
-        ref = np.array(
-            [place_replicas_rejection(0.0, 3, 5.0, rng_b)[1] for _ in range(n)]
-        )
+        ours = _relative_offsets(3, n, cfg, np.random.default_rng(8))[:, 0]
+        rng = np.random.default_rng(9)
+        ref = np.array([place_replicas_rejection(0.0, 3, 5.0, rng)[1] for _ in range(n)])
         _, pvalue = stats.ks_2samp(ours, ref)
         assert pvalue > 1e-4
+
+
+class TestReplicaInvariants:
+    """The placement rules, checked on the arrays of whole traces over
+    several degree mixes, tight frames included."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, cfg_tf200_r15, dist_x2, dist_x3, dist_lambda1, dist_lambda2):
+        tight = SystemConfig(snr_linear=4.0, rate=1.5, vf_span=5.0, window_span=2.0)
+        cases = [(cfg_tf200_r15, d) for d in (dist_x2, dist_x3, dist_lambda1, dist_lambda2)]
+        cases.append((tight, DegreeDistribution.from_pairs([(2, 0.2), (4, 0.3), (5, 0.5)])))
+        rng = np.random.default_rng(18)
+        out = [(cfg, generate_trace(cfg, dist, 0.3, 4000.0, rng)) for cfg, dist in cases]
+        assert all(trace.n_users > 500 for _, trace in out)
+        return out
+
+    def test_first_replica_at_arrival(self, traces):
+        for _, trace in traces:
+            assert np.array_equal(trace.rep_start[trace.rep_ptr[:-1]], trace.arrival)
+
+    def test_minimum_separation(self, traces):
+        for _, trace in traces:
+            same_user = np.ones(trace.n_replicas - 1, dtype=bool)
+            same_user[trace.rep_ptr[1:-1] - 1] = False
+            assert np.diff(trace.rep_start)[same_user].min() >= 1.0 - 1e-9
+
+    def test_last_start_fits_virtual_frame(self, traces):
+        for cfg, trace in traces:
+            last = trace.rep_start[trace.rep_ptr[1:] - 1]
+            assert np.all(last <= trace.arrival + (cfg.vf_span - 1.0))
+
+    def test_pairwise_separation(self, traces):
+        for _, trace in traces:
+            for d in np.unique(trace.degree):
+                own = trace.rep_ptr[:-1][trace.degree == d]
+                starts = trace.rep_start[own[:, None] + np.arange(d)]
+                gaps = np.abs(starts[:, :, None] - starts[:, None, :])
+                assert gaps[:, ~np.eye(d, dtype=bool)].min() >= 1.0 - 1e-9
 
 
 class TestGenerateTrace:
@@ -129,18 +155,11 @@ class TestGenerateTrace:
         rng = np.random.default_rng(14)
         trace = generate_trace(cfg_tf200_r15, dist_lambda1, 0.2, 3000.0, rng)
         assert trace.n_users > 0
-        for u in trace.users:  # constructor re-validates every invariant
-            span = u.replica_starts[-1] + 1.0 - u.replica_starts[0]
-            assert span <= cfg_tf200_r15.vf_span + 1e-9
-            assert span >= (u.degree - 1) * 1.0
-        arr = trace.arrival
-        assert np.all(np.diff(arr) >= 0)
-
-    def test_complete_mask_flags_edge_users(self, cfg_tf200_r15, dist_x2):
-        rng = np.random.default_rng(15)
-        trace = generate_trace(cfg_tf200_r15, dist_x2, 0.2, 2000.0, rng)
-        mask = trace.complete_mask
-        assert np.array_equal(mask, trace.arrival + 200.0 <= 2000.0)
+        assert np.array_equal(np.diff(trace.rep_ptr), trace.degree)
+        span = trace.rep_start[trace.rep_ptr[1:] - 1] + 1.0 - trace.rep_start[trace.rep_ptr[:-1]]
+        assert np.all(span <= cfg_tf200_r15.vf_span + 1e-9)
+        assert np.all(span >= trace.degree - 1.0)
+        assert np.all(np.diff(trace.arrival) >= 0)
 
     def test_dump_replicas_format(self, cfg_tf200_r15, dist_x2):
         rng = np.random.default_rng(16)
