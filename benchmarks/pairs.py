@@ -51,7 +51,10 @@ def git(*argv: str) -> str:
 
 
 def export(rev: str, into: Path) -> Path:
-    """Write the files of ``rev`` into a new directory under ``into``."""
+    """Write the files of ``rev`` into a new directory under ``into``, which
+    is created first if need be (``None``: the system temp directory)."""
+    if into is not None:
+        into.mkdir(parents=True, exist_ok=True)
     dest = Path(tempfile.mkdtemp(prefix=f"irasim-{rev.replace('/', '_')}-", dir=into))
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout

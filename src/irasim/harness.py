@@ -8,14 +8,27 @@ point ``i`` draws from ``SeedSequence(entropy=point_seed, spawn_key=(b,))``
 where ``point_seed = SeedSequence(entropy=config.seed, spawn_key=(i,))``
 folded to 64 bits, and batch results are reduced strictly in batch order.
 
-Each load point is one ordered stream of batches. With ``jobs > 1``, one
-process pool serves the whole sweep and keeps ``jobs`` batches of the
-current point in flight; with ``jobs <= 1`` each batch runs inline, in the
-calling thread. After every reduced batch the stop rule is tested: at least
-``min_users_per_point`` counted users, or ``max_lost_events`` losses over at
-least ``MIN_USERS_FOR_EARLY_STOP`` users. Once it holds, the batches still in
-flight are dropped unread, so the result is the same reduced prefix for
-every worker count.
+The whole grid is one batch schedule with ``max(jobs, 1)`` slots. A batch
+holds a slot from its submission until it is reduced. Batches are reduced
+strictly in (point, batch) order, and after every reduced batch the stop rule
+of the current point is tested: at least ``min_users_per_point`` counted
+users, or ``max_lost_events`` losses over at least
+``MIN_USERS_FOR_EARLY_STOP`` users. Once it holds, what is left of that point
+in flight is cancelled and the next point becomes current.
+
+A free slot goes to the earliest point, from the current one on, whose
+counted users plus ``expected_batch_users`` for each of its submitted but
+unreduced batches fall short of ``min_users_per_point``; if no point does,
+the slot stays free. So once the batches in flight are expected to cover the
+current point, the next point's first batches start, and nothing is
+submitted past what a point is expected to need. With ``jobs > 1`` one
+process pool serves the whole sweep; with ``jobs <= 1`` the single slot runs
+each batch inline, in the calling thread, so exactly the reduced batches run.
+
+The schedule decides only when a batch runs, never which batches are
+reduced: each point reduces the shortest prefix of its batch stream that
+meets the stop rule, and the batches are seeded by index. So the result, the
+outcome dump included, is the same for every worker count.
 """
 
 from __future__ import annotations
@@ -64,6 +77,13 @@ class ConfigError(ValueError):
     pass
 
 
+def expected_batch_users(system: SystemConfig, load: float) -> float:
+    """Mean number of users one batch counts: the Poisson arrivals of the
+    interior interval of ``_simulate_batch``, ``(BATCH_VF_COUNT - 1)``
+    frames long."""
+    return load * (BATCH_VF_COUNT - 1) * system.vf_span
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     system: SystemConfig
@@ -78,14 +98,14 @@ class ExperimentConfig:
         object.__setattr__(self, "load_grid", tuple(float(g) for g in self.load_grid))
         if not self.load_grid:
             raise ConfigError("load grid is empty")
-        users_per_batch = (BATCH_VF_COUNT - 1) * self.system.vf_span
         for g in self.load_grid:
             if not (math.isfinite(g) and g > 0):
                 raise ConfigError(f"loads must be finite and strictly positive, got {g}")
             # compared, not divided, so that no integer overflows a float
-            if self.min_users_per_point > MAX_EXPECTED_BATCHES * g * users_per_batch:
+            per_batch = expected_batch_users(self.system, g)
+            if self.min_users_per_point > MAX_EXPECTED_BATCHES * per_batch:
                 raise ConfigError(
-                    f"load {g} draws about {g * users_per_batch:.3g} users per batch, "
+                    f"load {g} draws about {per_batch:.3g} users per batch, "
                     f"too few for {self.min_users_per_point} users in {MAX_EXPECTED_BATCHES} batches"
                 )
         span, step = self.system.window_span, self.system.window_step
@@ -226,42 +246,61 @@ def _batch_executor(jobs: int) -> Executor:
     return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else _InlineExecutor()
 
 
-def _run_stream(
+def _run_grid(
     cfg: ExperimentConfig,
-    load: float,
-    seed: int,
+    points: list[tuple[float, int]],
     executor: Executor,
     jobs: int,
     outcome_sink,
-) -> tuple[int, int]:
-    """The ordered batch stream of one load point (see the module docstring)."""
-    users = 0
-    lost = 0
-    id_offset = 0
+) -> list[tuple[int, int]]:
+    """The batch schedule of a load grid (see the module docstring).
+
+    ``points`` lists ``(load, seed)`` pairs; returns ``(users, lost)`` for
+    each, in grid order.
+    """
     collect = outcome_sink is not None
-    in_flight: deque[Future] = deque()
-    next_batch = 0
-    while True:
-        while len(in_flight) < max(jobs, 1):
-            in_flight.append(
-                executor.submit(
-                    _simulate_batch, cfg.system, cfg.distribution, load, seed, next_batch, collect
-                )
-            )
-            next_batch += 1
-        result = in_flight.popleft().result()
-        users += result.users
-        lost += result.lost
-        if collect:
-            for uid, deg, outcome, w in result.outcome_rows:
-                outcome_sink.write(f"{id_offset + uid},{deg},{outcome},{w:.12g}\n")
-        id_offset += result.n_trace_users
-        if users >= cfg.min_users_per_point or (
-            lost >= cfg.max_lost_events and users >= MIN_USERS_FOR_EARLY_STOP
-        ):
-            for future in in_flight:
-                future.cancel()
-            return users, lost
+    expected = [expected_batch_users(cfg.system, load) for load, _ in points]
+    queues: list[deque[Future]] = [deque() for _ in points]
+    next_batch = [0] * len(points)
+    unreduced = 0
+    totals = []
+    for cur in range(len(points)):
+        users = lost = id_offset = 0
+        while True:
+            # until the stop rule holds, users < min_users_per_point, so
+            # point ``cur`` always qualifies when nothing of it is in flight
+            p = cur
+            while unreduced < max(jobs, 1) and p < len(points):
+                counted = users if p == cur else 0
+                if counted + expected[p] * len(queues[p]) < cfg.min_users_per_point:
+                    load, seed = points[p]
+                    queues[p].append(
+                        executor.submit(
+                            _simulate_batch, cfg.system, cfg.distribution, load, seed, next_batch[p], collect
+                        )
+                    )
+                    next_batch[p] += 1
+                    unreduced += 1
+                else:
+                    p += 1
+            result = queues[cur].popleft().result()
+            unreduced -= 1
+            users += result.users
+            lost += result.lost
+            if collect:
+                for uid, deg, outcome, w in result.outcome_rows:
+                    outcome_sink.write(f"{id_offset + uid},{deg},{outcome},{w:.12g}\n")
+            id_offset += result.n_trace_users
+            if users >= cfg.min_users_per_point or (
+                lost >= cfg.max_lost_events and users >= MIN_USERS_FOR_EARLY_STOP
+            ):
+                break
+        for future in queues[cur]:
+            future.cancel()
+        unreduced -= len(queues[cur])
+        queues[cur].clear()
+        totals.append((users, lost))
+    return totals
 
 
 def run_point(
@@ -279,7 +318,7 @@ def run_point(
     result is deterministic in (config, seed) and independent of ``jobs``.
     """
     with _batch_executor(jobs) as executor:
-        return _run_stream(cfg, load, seed, executor, jobs, outcome_sink)
+        return _run_grid(cfg, [(load, seed)], executor, jobs, outcome_sink)[0]
 
 
 def sweep(
@@ -295,16 +334,16 @@ def sweep(
     order; user ids restart at 0 for every point.
     """
     params = floor_params(cfg.system)
-    rows = []
+    points = [(g, point_seed(cfg.seed, i)) for i, g in enumerate(cfg.load_grid)]
     with _batch_executor(jobs) as executor:
-        for i, g in enumerate(cfg.load_grid):
-            users, lost = _run_stream(cfg, g, point_seed(cfg.seed, i), executor, jobs, outcome_sink)
-            plr = lost / users
-            lo, hi = wilson_interval(lost, users, 0.95)
-            analytic = plr_floor(g, cfg.system, cfg.distribution, catalog)
-            rows.append(
-                PlrRow(load=g, users=users, lost=lost, plr_sim=plr, ci_lo=lo, ci_hi=hi, plr_analytic=analytic)
-            )
+        totals = _run_grid(cfg, points, executor, jobs, outcome_sink)
+    rows = []
+    for g, (users, lost) in zip(cfg.load_grid, totals):
+        lo, hi = wilson_interval(lost, users, 0.95)
+        analytic = plr_floor(g, cfg.system, cfg.distribution, catalog)
+        rows.append(
+            PlrRow(load=g, users=users, lost=lost, plr_sim=lost / users, ci_lo=lo, ci_hi=hi, plr_analytic=analytic)
+        )
     return PlrCurve(rows=tuple(rows), params=params)
 
 

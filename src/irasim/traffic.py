@@ -131,8 +131,9 @@ def generate_trace(
     np.cumsum(degree, out=rep_ptr[1:])
     rep_start = np.empty(int(rep_ptr[-1]), dtype=np.float64)
 
-    # fill per degree class, ascending, so the rng call order is fixed
-    for d in sorted(set(int(x) for x in np.unique(degree))):
+    # fill per degree class, ascending, so the rng call order is fixed;
+    # bincount, unlike np.unique, does not import numpy.ma
+    for d in np.flatnonzero(np.bincount(degree)).tolist():
         idx = np.nonzero(degree == d)[0]
         rel = _relative_offsets(d, len(idx), cfg, rng)
         block = np.concatenate([np.zeros((len(idx), 1)), rel], axis=1) + arrival[idx][:, None]

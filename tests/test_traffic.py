@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,3 +182,20 @@ class TestGenerateTrace:
         gaps = np.diff(trace.arrival)
         _, pvalue = stats.kstest(gaps, "expon", args=(0, 1 / 0.4))
         assert pvalue > 1e-4
+
+
+def test_a_batch_does_not_import_numpy_ma():
+    # numpy.ma costs every fresh worker a lazy import of 10-20 ms and about
+    # 1 MB; np.unique would pull it in through np.ma.is_masked
+    code = (
+        "import sys\n"
+        "from irasim.harness import _simulate_batch\n"
+        "from irasim.model import DegreeDistribution, SystemConfig\n"
+        "dist = DegreeDistribution.from_pairs([(2, 0.5), (3, 0.3), (5, 0.2)])\n"
+        "_simulate_batch(SystemConfig.from_db(6.0, 1.5, 20.0), dist, 0.3, 1, 0)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
