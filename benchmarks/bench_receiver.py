@@ -25,7 +25,7 @@ import numpy as np
 
 from irasim import _kernels
 from irasim.model import DegreeDistribution, SystemConfig
-from irasim.receiver import peel, run_sic_kernel, sweep_inputs
+from irasim.receiver import _geometry, peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import generate_trace
 
 
@@ -79,8 +79,8 @@ def main():
         trace = generate_trace(cfg, dist, load, args.users / load, np.random.default_rng(1))
         n = trace.n_users
         kernel_args = sweep_inputs(trace, cfg)
-        n_steps = kernel_args[6]
-        peeled = peel(kernel_args[:13])  # the geometry positions
+        n_steps = kernel_args.n_steps
+        peeled = peel(_geometry(trace, cfg))
         share = 0.0 if peeled is None else float(np.mean(~peeled[0]))
         print(f"load {load:g}: {n} users, {trace.n_replicas} replicas, "
               f"pre-pass resolved {share:.1%}")
@@ -105,13 +105,13 @@ def main():
     irr1 = DegreeDistribution.from_pairs([(2, 0.263), (3, 0.344), (5, 0.393)])
     trace = generate_trace(cfg, irr1, load, args.users / load, np.random.default_rng(1))
     with_test = sweep_inputs(trace, cfg)
-    without = with_test[:13] + (0.0, np.zeros_like(with_test[14]))
+    without = with_test._replace(rad=0.0, n_fatal=np.zeros_like(with_test.n_fatal))
     print(f"irr1 load {load:g}: {trace.n_users} users, {trace.n_replicas} replicas, "
-          f"{np.mean(with_test[14] > 0):.1%} start with a fatal neighbour")
+          f"{np.mean(with_test.n_fatal > 0):.1%} start with a fatal neighbour")
     t_on, on = best_of(args.repeat, lambda: _kernels.sic_sweep(*with_test))
-    line("sweep, fatal pre-test", t_on, trace.n_users, on[3], with_test[6])
+    line("sweep, fatal pre-test", t_on, trace.n_users, on[3], with_test.n_steps)
     t_off, off = best_of(args.repeat, lambda: _kernels.sic_sweep(*without))
-    line("sweep without it", t_off, trace.n_users, off[3], with_test[6])
+    line("sweep without it", t_off, trace.n_users, off[3], with_test.n_steps)
     assert np.array_equal(on[0], off[0]) and np.array_equal(on[1], off[1]), "pre-test changed outcomes"
     print(f"  fatal pre-test: {t_off / t_on:.2f}x (identical classifications)")
 

@@ -25,7 +25,6 @@ from .harness import (
     PlrCurve,
     parse_config_file,
     predict,
-    run_point,
     sweep,
     wilson_interval,
 )

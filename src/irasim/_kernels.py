@@ -8,10 +8,10 @@ exported so the benchmark under benchmarks/ can compare them directly:
 * ``sic_sweep_python``   plain-Python build of the same code
 * ``sic_sweep_compiled`` numba build, or None when numba is unavailable
 
-Both builds take numpy arrays. The caller passes, per replica, the index range
-``[nb_lo[i], nb_hi[i])`` of the replicas whose start lies within one packet
-of replica ``i`` (see ``receiver.sweep_inputs``), so the sweep never searches
-for neighbours. The plain build reads and writes every array through a
+Both builds take numpy arrays; ``receiver.SweepInputs`` names every
+parameter of the sweep, in order. The caller passes, per replica, the index
+range ``[nb_lo[i], nb_hi[i])`` of the replicas whose start lies within one
+packet of replica ``i``, so the sweep never searches for neighbours. The plain build reads and writes every array through a
 ``memoryview`` of its buffer: element access then yields Python scalars,
 about twice as fast as indexing numpy arrays, with no copy and no change in
 the arithmetic. The compiled build sees the numpy arrays themselves.

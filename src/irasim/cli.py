@@ -48,6 +48,8 @@ def _catalog(path):
         return load_catalog(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read catalog {path}: {exc}") from exc
+    except FloorError as exc:
+        raise ConfigError(f"malformed catalog: {exc}") from exc
 
 
 def _open_out(path):

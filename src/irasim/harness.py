@@ -303,24 +303,6 @@ def _run_grid(
     return totals
 
 
-def run_point(
-    cfg: ExperimentConfig,
-    load: float,
-    seed: int,
-    *,
-    jobs: int = 1,
-    outcome_sink=None,
-) -> tuple[int, int]:
-    """Monte Carlo estimate of one load point.
-
-    Batches run until ``min_users_per_point`` users were counted, or until
-    ``max_lost_events`` losses accumulated over at least 10^5 users. The
-    result is deterministic in (config, seed) and independent of ``jobs``.
-    """
-    with _batch_executor(jobs) as executor:
-        return _run_grid(cfg, [(load, seed)], executor, jobs, outcome_sink)[0]
-
-
 def sweep(
     cfg: ExperimentConfig,
     *,
@@ -372,19 +354,12 @@ def predict(
 
 _REQUIRED_KEYS = ("snr_db", "rate", "vf_span")
 
-_CONFIG_KEYS = {
-    "snr_db",
-    "rate",
-    "vf_span",
-    "window_span",
-    "window_step",
-    "degree",
-    "load_grid",
-    "min_users_per_point",
-    "max_lost_events",
-    "seed",
-    "outputs",
-}
+#: Scalar keys of :meth:`SystemConfig.from_db` and of :class:`ExperimentConfig`
+#: with their types; a key a file leaves out takes the dataclass default.
+_SYSTEM_KEYS = {"snr_db": float, "rate": float, "vf_span": float, "window_span": float, "window_step": float}
+_EXPERIMENT_KEYS = {"min_users_per_point": int, "max_lost_events": int, "seed": int, "outputs": str}
+
+_CONFIG_KEYS = {*_SYSTEM_KEYS, *_EXPERIMENT_KEYS, "degree", "load_grid"}
 
 
 def _config_lines(path):
@@ -435,30 +410,21 @@ def parse_config_file(path) -> ExperimentConfig:
     if not degree_pairs:
         raise ConfigError(f"{path}: at least one 'degree = <d> <prob>' line is required")
 
-    def number(key: str, kind, default=None):
-        value = scalars.get(key, default)
-        try:
-            return kind(value)
-        except ValueError:
-            raise ConfigError(f"{path}: bad value for {key!r}: {value!r}") from None
+    def typed(kinds: dict) -> dict:
+        out = {}
+        for key, kind in kinds.items():
+            if key not in scalars:
+                continue
+            try:
+                out[key] = kind(scalars[key])
+            except ValueError:
+                raise ConfigError(f"{path}: bad value for {key!r}: {scalars[key]!r}") from None
+        return out
 
     try:
-        system = SystemConfig.from_db(
-            snr_db=number("snr_db", float),
-            rate=number("rate", float),
-            vf_span=number("vf_span", float),
-            window_span=number("window_span", float, 3.0),
-            window_step=number("window_step", float, 0.1),
-        )
+        system = SystemConfig.from_db(**typed(_SYSTEM_KEYS))
         dist = DegreeDistribution.from_pairs(degree_pairs)
-        return ExperimentConfig(
-            system=system,
-            distribution=dist,
-            load_grid=tuple(loads) if loads else (0.1,),
-            min_users_per_point=number("min_users_per_point", int, 100_000),
-            max_lost_events=number("max_lost_events", int, 1_000),
-            seed=number("seed", int, 1),
-            outputs=scalars.get("outputs", "results/run"),
-        )
+        loads = tuple(loads) if loads else (0.1,)
+        return ExperimentConfig(system, dist, loads, **typed(_EXPERIMENT_KEYS))
     except ModelError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,52 +177,55 @@ def _sorted_replicas(trace: TrafficTrace) -> tuple[np.ndarray, np.ndarray, np.nd
     return rep_start, rep_owner, pos
 
 
-def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
-    """Arguments of :func:`irasim._kernels.sic_sweep` for one non-empty trace:
-    the thirteen positions of :func:`_geometry`, then the fatal radius
-    ``rad`` and, per replica, the count ``n_fatal`` of other replicas
-    starting strictly within ``rad`` of it (see :func:`with_fatal_counts`)."""
+class SweepInputs(NamedTuple):
+    """Arguments of :func:`irasim._kernels.sic_sweep`, in the order of its
+    parameters, for one non-empty trace. Replicas are sorted by start time."""
+
+    rep_start: np.ndarray  # replica starts, ascending
+    rep_owner: np.ndarray  # the user of each replica
+    user_ptr: np.ndarray  # user u owns entries user_ptr[u]:user_ptr[u+1] of rep_of_user
+    rep_of_user: np.ndarray  # each user's replicas, in trace order, as sorted positions
+    vf_end: np.ndarray  # end of each user's virtual frame, in arrival order
+    w0: float  # window start at step 0 of the grid
+    n_steps: int  # steps of the grid
+    step_len: float  # window advance per step
+    win_len: float  # window length
+    snr: float  # linear SNR
+    rate: float  # code rate
+    nb_lo: np.ndarray  # replicas nb_lo[i]:nb_hi[i] start strictly less than
+    nb_hi: np.ndarray  # one packet away from replica i (one packet away only touches)
+    rad: float = 0.0  # fatal radius, 0.0 with the fatal pre-test off
+    n_fatal: np.ndarray | None = None  # per replica, the others starting strictly within rad
+
+
+def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
+    """The sweep's arguments for one non-empty trace, fatal counts included
+    (see :func:`with_fatal_counts`)."""
     return with_fatal_counts(_geometry(trace, cfg))
 
 
-def _geometry(trace: TrafficTrace, cfg: SystemConfig) -> tuple:
-    """The trace's replicas, sorted by start time, and the receiver's step
-    grid, in the order of the sweep's first thirteen parameters:
-
-    * 0-4: ``rep_start``, ``rep_owner`` (the user of each sorted replica),
-      ``user_ptr`` (user ``u`` owns entries ``user_ptr[u]:user_ptr[u+1]`` of
-      position 3), ``rep_of_user`` (each user's replicas, in trace order,
-      mapped to their sorted positions) and ``vf_end`` per user;
-    * 5-10: the step grid ``w0``, ``n_steps``, ``step_len``, ``win_len``,
-      then ``snr`` and ``rate``;
-    * 11-12: per replica ``i``, the index range ``[nb_lo[i], nb_hi[i])`` of
-      the replicas starting strictly less than one packet away from it; a
-      replica exactly one packet away touches ``i`` without overlapping it.
-    """
+def _geometry(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
+    """The trace's replicas and the receiver's step grid, without the fatal
+    radius and counts."""
     rep_start, rep_owner, pos = _sorted_replicas(trace)
     vf_end = np.ascontiguousarray(trace.arrival + cfg.vf_span)
-    # int32 halves the two largest arrays the sweep holds next to the fatal
-    # counts and their copy; on dense traces that sets the peak memory
-    nb_lo = np.searchsorted(rep_start, rep_start - 1.0, side="right").astype(np.int32)
-    nb_hi = np.searchsorted(rep_start, rep_start + 1.0, side="left").astype(np.int32)
-
     w0 = float(trace.arrival[0]) - cfg.window_length
-    step_len = cfg.step_length
-    n_steps = int(np.ceil((float(vf_end[-1]) - w0) / step_len)) + 2
-    return (
-        rep_start,
-        rep_owner,
-        np.ascontiguousarray(trace.rep_ptr),
-        pos,
-        vf_end,
-        w0,
-        n_steps,
-        step_len,
-        cfg.window_length,
-        cfg.snr_linear,
-        cfg.rate,
-        nb_lo,
-        nb_hi,
+    return SweepInputs(
+        rep_start=rep_start,
+        rep_owner=rep_owner,
+        user_ptr=np.ascontiguousarray(trace.rep_ptr),
+        rep_of_user=pos,
+        vf_end=vf_end,
+        w0=w0,
+        n_steps=int(np.ceil((float(vf_end[-1]) - w0) / cfg.step_length)) + 2,
+        step_len=cfg.step_length,
+        win_len=cfg.window_length,
+        snr=cfg.snr_linear,
+        rate=cfg.rate,
+        # int32 halves the two largest arrays the sweep holds next to the
+        # fatal counts and their copy; on dense traces that sets the peak memory
+        nb_lo=np.searchsorted(rep_start, rep_start - 1.0, side="right").astype(np.int32),
+        nb_hi=np.searchsorted(rep_start, rep_start + 1.0, side="left").astype(np.int32),
     )
 
 
@@ -248,11 +252,10 @@ def _fatal_radius(rep_start, nb_lo, nb_hi, snr: float, rate: float) -> float:
     return phi - margin if 2.0 * err < margin else 0.0
 
 
-def with_fatal_counts(geom: tuple) -> tuple:
-    """The sweep arguments for the :func:`_geometry` tuple ``geom``: ``geom``
-    followed by the fatal radius and counts computed from its replicas."""
-    rep_start, snr, rate, nb_lo, nb_hi = geom[0], geom[9], geom[10], geom[11], geom[12]
-    rad = _fatal_radius(rep_start, nb_lo, nb_hi, snr, rate)
+def with_fatal_counts(geom: SweepInputs) -> SweepInputs:
+    """``geom`` with the fatal radius and counts computed from its replicas."""
+    rep_start = geom.rep_start
+    rad = _fatal_radius(rep_start, geom.nb_lo, geom.nb_hi, geom.snr, geom.rate)
     n_fatal = np.zeros(rep_start.shape[0], dtype=np.int32)
     if rad > 0.0:
         for a in range(0, rep_start.shape[0], _COUNT_BLOCK):
@@ -261,7 +264,7 @@ def with_fatal_counts(geom: tuple) -> tuple:
             hi -= rep_start.searchsorted(s - rad, "right")
             # the replica itself is in its range
             np.subtract(hi, 1, out=n_fatal[a:a + _COUNT_BLOCK], casting="unsafe")
-    return geom + (rad, n_fatal)
+    return geom._replace(rad=rad, n_fatal=n_fatal)
 
 
 #: Rounds after which the taint spread or the decode-step iteration of
@@ -283,7 +286,7 @@ _MIN_PEELED_SHARE = 1 / 4
 _MAX_PEEL_STEPS = 10**6
 
 
-def peel(geom: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Classify, in closed form, the users of sparse collision components.
 
     ``geom`` is the :func:`_geometry` of a trace. A replica is *simple*
@@ -333,17 +336,16 @@ def peel(geom: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     so removing the untainted ones leaves the order of the stack operations
     on tainted replicas, and every MI they see, unchanged.
     """
-    (rep_start, rep_owner, user_ptr, pos, vf_end, w0, n_steps, step_len,
-     win_len, snr, rate, nb_lo, nb_hi) = geom
-    n_users = vf_end.shape[0]
+    rep_start, rep_owner, nb_lo, nb_hi = geom.rep_start, geom.rep_owner, geom.nb_lo, geom.nb_hi
+    n_users = geom.vf_end.shape[0]
     n_rep = rep_start.shape[0]
     # the sweep's mi_table[0] and mi_table[1]
-    mi0 = math.log2(1.0 + snr / (1.0 + 0 * snr))
-    mi1 = math.log2(1.0 + snr / (1.0 + 1 * snr))
-    if not mi0 >= rate or n_steps > _MAX_PEEL_STEPS:
+    mi0 = symbol_mi(geom.snr, 0)
+    mi1 = symbol_mi(geom.snr, 1)
+    if not mi0 >= geom.rate or geom.n_steps > _MAX_PEEL_STEPS:
         return None
 
-    tainted = ~np.logical_and.reduceat((nb_hi - nb_lo <= 2)[pos], user_ptr[:-1])
+    tainted = ~np.logical_and.reduceat((nb_hi - nb_lo <= 2)[geom.rep_of_user], geom.user_ptr[:-1])
     if np.count_nonzero(~tainted) < n_users * _MIN_PEELED_SHARE:
         return None
     nb_lo = nb_lo.astype(np.intp)  # index arrays below; int32 ones get converted at every use
@@ -381,12 +383,12 @@ def peel(geom: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     partner_owner = number[partner_owner[keep]]
     del keep, paired, hit, number, untainted
 
-    never = n_steps  # every user expires before the sweep's last step
-    w = w0 + np.arange(n_steps) * step_len
-    expiry = w.searchsorted(vf_end[users], "right")
+    never = geom.n_steps  # every user expires before the sweep's last step
+    w = geom.w0 + np.arange(never) * geom.step_len
+    expiry = w.searchsorted(geom.vf_end[users], "right")
     s = rep_start[cand]
     s_end = s + 1.0
-    admit = (w + win_len).searchsorted(s_end, "left")
+    admit = (w + geom.win_len).searchsorted(s_end, "left")
     last = w.searchsorted(s, "right") - 1
     # avg_mi against the one active partner, operation by operation
     a = rep_start[partner]
@@ -398,7 +400,7 @@ def peel(geom: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     # the first guard leaves to the sweep a trace it cannot finish (it raises)
     if expiry.max() >= never or np.any(overlap & (expiry[partner_owner] <= last)):
         return None
-    waits = overlap & ~(acc >= rate)  # decodes only once its partner is cancelled
+    waits = overlap & ~(acc >= geom.rate)  # decodes only once its partner is cancelled
     del a, b, acc, s, s_end, overlap, w
 
     # replicas that decode at admission, or never, bound D from the start;
@@ -423,41 +425,34 @@ def peel(geom: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         return None
 
     decoded = decode_at < never
-    return tainted, decoded, w0 + np.where(decoded, decode_at, expiry) * step_len
+    return tainted, decoded, geom.w0 + np.where(decoded, decode_at, expiry) * geom.step_len
 
 
-def _restrict(geom: tuple, keep: np.ndarray) -> tuple:
+def _restrict(geom: SweepInputs, keep: np.ndarray) -> SweepInputs:
     """The :func:`_geometry` of the users in mask ``keep`` alone, on the same
     step grid. No replica of a kept user may have a dropped one in its
     neighbour range, so the kept ranges map onto the kept replicas."""
-    (rep_start, rep_owner, user_ptr, pos, vf_end, w0, n_steps, step_len,
-     win_len, snr, rate, nb_lo, nb_hi) = geom
-    keep_rep = keep[rep_owner]
+    keep_rep = keep[geom.rep_owner]
     rank = np.zeros(keep_rep.shape[0] + 1, dtype=np.int64)  # kept replicas before each index
     np.cumsum(keep_rep, out=rank[1:])
-    degree = np.diff(user_ptr)
+    degree = np.diff(geom.user_ptr)
     ptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
     np.cumsum(degree[keep], out=ptr[1:])
-    return (
-        rep_start[keep_rep],
-        (np.cumsum(keep) - 1)[rep_owner[keep_rep]],
-        ptr,
-        rank[pos[np.repeat(keep, degree)]],
-        vf_end[keep],
-        w0,
-        n_steps,
-        step_len,
-        win_len,
-        snr,
-        rate,
-        rank[nb_lo[keep_rep]],
-        rank[nb_hi[keep_rep]],
+    return geom._replace(
+        rep_start=geom.rep_start[keep_rep],
+        rep_owner=(np.cumsum(keep) - 1)[geom.rep_owner[keep_rep]],
+        user_ptr=ptr,
+        rep_of_user=rank[geom.rep_of_user[np.repeat(keep, degree)]],
+        vf_end=geom.vf_end[keep],
+        nb_lo=rank[geom.nb_lo[keep_rep]],
+        nb_hi=rank[geom.nb_hi[keep_rep]],
     )
 
 
-def _sweep(args: tuple) -> tuple[np.ndarray, np.ndarray]:
-    decoded, decided_w, n_done, _ = _kernels.sic_sweep(*args)
-    n_users = args[4].shape[0]
+def _sweep(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep, fatal pre-test included, on the users of ``geom``."""
+    decoded, decided_w, n_done, _ = _kernels.sic_sweep(*with_fatal_counts(geom))
+    n_users = geom.vf_end.shape[0]
     if n_done != n_users:
         raise RuntimeError(f"receiver sweep classified {n_done} of {n_users} users")
     return decoded, decided_w
@@ -474,10 +469,10 @@ def run_sic_kernel(trace: TrafficTrace, cfg: SystemConfig) -> tuple[np.ndarray, 
     geom = _geometry(trace, cfg)
     peeled = peel(geom)
     if peeled is None:
-        return _sweep(with_fatal_counts(geom))
+        return _sweep(geom)
     rest, peeled_decoded, peeled_w = peeled
     geom = _restrict(geom, rest)  # drops the full arrays before the sweep
-    swept_decoded, swept_w = _sweep(with_fatal_counts(geom))
+    swept_decoded, swept_w = _sweep(geom)
     decoded = np.empty(trace.n_users, dtype=bool)
     decided_w = np.empty(trace.n_users)
     decoded[rest], decided_w[rest] = swept_decoded, swept_w

@@ -21,7 +21,7 @@ from irasim.errorfloor import (
     vp_count,
     vulnerable_fraction,
 )
-from irasim.harness import ExperimentConfig, point_seed, run_point, sweep, wilson_interval
+from irasim.harness import ExperimentConfig, sweep, wilson_interval
 from irasim.model import DegreeDistribution, SystemConfig, TimeInterval
 from irasim.channel import avg_mutual_information, build_timeline, is_decodable
 from irasim.receiver import make_state, run_sic_kernel, sic_pass
@@ -61,7 +61,8 @@ def _sim_point(system: SystemConfig, dist: DegreeDistribution, load: float, n_us
             max_lost_events=10**9,
             seed=20_250_801,
         )
-        _POINT_CACHE[key] = run_point(cfg, load, point_seed(cfg.seed, 0), jobs=JOBS)
+        row = sweep(cfg, jobs=JOBS).rows[0]  # draws from point_seed(cfg.seed, 0)
+        _POINT_CACHE[key] = (row.users, row.lost)
     return _POINT_CACHE[key]
 
 

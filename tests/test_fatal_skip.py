@@ -35,13 +35,13 @@ def mi_level(snr, k):
 
 def skip_off(args):
     """The same sweep arguments with the fatal test switched off."""
-    return args[:13] + (0.0, np.zeros_like(args[14]))
+    return args._replace(rad=0.0, n_fatal=np.zeros_like(args.n_fatal))
 
 
 def assert_skip_is_exact(args):
     got = _kernels.sic_sweep(*args)
     want = _kernels.sic_sweep(*skip_off(args))
-    assert got[2] == want[2] == args[4].shape[0]
+    assert got[2] == want[2] == args.vf_end.shape[0]
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     assert got[3] == want[3]
@@ -90,7 +90,7 @@ def test_random_traces_match_the_sweep_without_the_test():
             continue
         args = sweep_inputs(trace, cfg)
         phi = clean_fraction(cfg.snr_linear, cfg.rate)
-        rad, n_fatal = args[13], args[14]
+        rad, n_fatal = args.rad, args.n_fatal
         if phi == 0.0:
             regimes["phi0"] += 1
             assert rad == 0.0 and not n_fatal.any()
@@ -130,7 +130,7 @@ def checked_sweep():
     sweep = _kernels._build_sweep(hook, memoryview)
 
     def run(args):
-        seen["rad"] = args[13]
+        seen["rad"] = args.rad
         seen["calls"] = 0
         out = sweep(*args)
         return out, seen["calls"]
@@ -164,12 +164,12 @@ def test_decrement_uses_the_counting_expressions():
     # replica at 80. Cancelling B must leave A's count at 1 (C), so A is
     # never evaluated while C is active.
     cfg = SystemConfig.from_db(6.0, 1.5, 200.0)
-    rad = with_fatal_counts(sweep_inputs(manual_trace(cfg, [(50.0, 60.0), (50.2, 60.0)]), cfg))[13]
+    rad = sweep_inputs(manual_trace(cfg, [(50.0, 60.0), (50.2, 60.0)]), cfg).rad
     edge = float(np.float64(50.0) + rad)
     trace = manual_trace(cfg, [(50.0, 60.0), (edge, 80.0), (50.2, 60.0)])
     args = sweep_inputs(trace, cfg)
     # sorted: A at 50 (C fatal), C at 50.2 (A and B), B at the edge (C)
-    assert args[13] == rad and args[14][:3].tolist() == [1, 2, 1]
+    assert args.rad == rad and args.n_fatal[:3].tolist() == [1, 2, 1]
     (decoded, _, _, _), _ = checked_sweep()(args)
     assert decoded.tolist() == [False, True, False]
 
@@ -186,8 +186,8 @@ def test_restricted_inputs_keep_valid_counts():
         rest = peeled[0]
         full = sweep_inputs(trace, cfg)
         restricted = with_fatal_counts(_restrict(geom, rest))
-        assert restricted[13] == full[13] > 0.0
-        assert np.array_equal(restricted[14], full[14][rest[full[1]]])
+        assert restricted.rad == full.rad > 0.0
+        assert np.array_equal(restricted.n_fatal, full.n_fatal[rest[full.rep_owner]])
         split += 1
     assert split >= 6
 
@@ -197,7 +197,7 @@ def test_counts_hold_the_replicas_strictly_within_the_radius(rate):
     cfg = SystemConfig.from_db(6.0, rate, 20.0)
     trace = generate_trace(cfg, MIXES[2], 1.0, 300.0, np.random.default_rng(9))
     args = sweep_inputs(trace, cfg)
-    rep_start, nb_lo, nb_hi, rad, n_fatal = args[0], args[11], args[12], args[13], args[14]
+    rep_start, nb_lo, nb_hi, rad, n_fatal = args.rep_start, args.nb_lo, args.nb_hi, args.rad, args.n_fatal
     assert n_fatal.dtype == np.int32
     assert n_fatal.tolist() == brute_fatal_counts(rep_start, rad).tolist()
     if rate == 0.5:  # below I1: phi = 0, empty fatal ranges
@@ -237,24 +237,25 @@ def test_offsets_within_ulps_of_the_threshold(base):
     # never counted, and avg_mi decides the knife edge as before
     for k in range(-4, 5):
         args, _ = _pair_outcome(cfg, base, _nudged(base + phi, k))
-        rad = args[13]
+        rad = args.rad
         assert 0.0 < rad < phi
-        assert args[14][:2].tolist() == [0, 0]
+        assert args.n_fatal[:2].tolist() == [0, 0]
     # at rad +- a few ulps the test starts to count, and nobody decodes
     for k in range(-4, 5):
         offset = _nudged(base + rad, k)
         args, decoded = _pair_outcome(cfg, base, offset)
         want = [int(offset < base + rad), int(base > offset - rad)]
-        assert args[14][:2].tolist() == want
+        assert args.n_fatal[:2].tolist() == want
         assert not decoded.any()
-    assert _pair_outcome(cfg, base, _nudged(base + rad, -1))[0][14][0] == 1
+    args, _ = _pair_outcome(cfg, base, _nudged(base + rad, -1))
+    assert args.n_fatal[0] == 1
 
 
 def test_guard_switches_the_test_off_near_1e9():
     cfg = SystemConfig.from_db(6.0, 1.5, 20.0)
     trace = generate_trace(cfg, MIXES[2], 0.75, 400.0, np.random.default_rng(4))
     near = sweep_inputs(trace, cfg)
-    assert near[13] > 0.0 and near[14].any()
+    assert near.rad > 0.0 and near.n_fatal.any()
     shifted = TrafficTrace(
         arrival=trace.arrival + 1e9,
         degree=trace.degree,
@@ -265,7 +266,7 @@ def test_guard_switches_the_test_off_near_1e9():
         vf_span=trace.vf_span,
     )
     args = sweep_inputs(shifted, cfg)
-    assert args[13] == 0.0 and not args[14].any()
+    assert args.rad == 0.0 and not args.n_fatal.any()
     assert_skip_is_exact(args)
     decoded, decided_w = run_sic_kernel(shifted, cfg)
     want = _kernels.sic_sweep(*skip_off(args))
@@ -280,5 +281,5 @@ def test_receiver_emits_no_regime_warning_per_batch():
         warnings.simplefilter("error")
         args = sweep_inputs(trace, cfg)
         decoded, _ = run_sic_kernel(trace, cfg)
-    assert args[13] > 0.0  # phi = 1, the test is on
+    assert args.rad > 0.0  # phi = 1, the test is on
     assert not decoded.any()

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from irasim.harness import (
     parse_config_file,
     point_seed,
     predict,
-    run_point,
     sweep,
     wilson_interval,
 )
@@ -106,6 +106,12 @@ class TestConfigFile:
         assert cfg.load_grid == (0.2, 0.3)
         assert cfg.seed == 99
         assert cfg.outputs == "results/short"
+
+    def test_left_out_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "minimal.cfg"
+        path.write_text("snr_db = 6\nrate = 1.5\nvf_span = 20\ndegree = 2 1.0\n")
+        want = ExperimentConfig(SystemConfig.from_db(6.0, 1.5, 20.0), DegreeDistribution.regular(2), (0.1,))
+        assert parse_config_file(path) == want
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -200,14 +206,19 @@ class TestConfigFile:
             )
 
 
+def one_point(cfg, load, **kwargs):
+    """``(users, lost)`` of a one-point sweep at ``load``; it draws from
+    ``point_seed(cfg.seed, 0)``."""
+    row = sweep(replace(cfg, load_grid=(load,)), **kwargs).rows[0]
+    return row.users, row.lost
+
+
 class TestRunPoint:
     def test_deterministic(self, fast_cfg):
-        s = point_seed(fast_cfg.seed, 0)
-        assert run_point(fast_cfg, 0.2, s) == run_point(fast_cfg, 0.2, s)
+        assert one_point(fast_cfg, 0.2) == one_point(fast_cfg, 0.2)
 
     def test_worker_count_invariant(self, fast_cfg):
-        s = point_seed(fast_cfg.seed, 0)
-        assert run_point(fast_cfg, 0.2, s, jobs=1) == run_point(fast_cfg, 0.2, s, jobs=3)
+        assert one_point(fast_cfg, 0.2, jobs=1) == one_point(fast_cfg, 0.2, jobs=3)
 
     def test_lost_event_stop_worker_count_invariant(self):
         # the early stop fires a few batches past 10^5 users, in the middle
@@ -220,8 +231,7 @@ class TestRunPoint:
             max_lost_events=50,
             seed=99,
         )
-        s = point_seed(cfg.seed, 0)
-        results = [run_point(cfg, 0.3, s, jobs=j) for j in (1, 2, 3)]
+        results = [one_point(cfg, 0.3, jobs=j) for j in (1, 2, 3)]
         assert results == [(101_164, 2_108)] * 3
 
     def test_inline_without_pool(self, fast_cfg, monkeypatch):
@@ -229,8 +239,7 @@ class TestRunPoint:
             raise AssertionError("jobs <= 1 started a process pool")
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
-        s = point_seed(fast_cfg.seed, 0)
-        assert run_point(fast_cfg, 0.2, s, jobs=0) == run_point(fast_cfg, 0.2, s, jobs=1)
+        assert one_point(fast_cfg, 0.2, jobs=0) == one_point(fast_cfg, 0.2, jobs=1)
         assert len(sweep(fast_cfg, jobs=1).rows) == 2
 
     def test_one_pool_per_sweep(self, fast_cfg, monkeypatch):
@@ -254,13 +263,13 @@ class TestRunPoint:
             max_lost_events=10**6,
             seed=1,
         )
-        users, lost = run_point(cfg, 1e-3, point_seed(1, 0))
+        users, lost = one_point(cfg, 1e-3)
         assert users >= 10_000
         assert lost <= 2
 
     def test_outcome_dump(self, fast_cfg):
         sink = io.StringIO()
-        users, lost = run_point(fast_cfg, 0.3, point_seed(fast_cfg.seed, 1), outcome_sink=sink)
+        users, lost = one_point(replace(fast_cfg, seed=7), 0.3, outcome_sink=sink)
         lines = sink.getvalue().strip().split("\n")
         assert len(lines) == users
         n_lost = sum(1 for ln in lines if ln.split(",")[2] == "lost")
@@ -550,10 +559,9 @@ class TestInputGuards:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
 
     def test_jobs_cap(self, fast_cfg, no_pool, no_batches):
-        s = point_seed(fast_cfg.seed, 0)
-        for run in (lambda: sweep(fast_cfg, jobs=MAX_JOBS + 1), lambda: run_point(fast_cfg, 0.2, s, jobs=10**5)):
+        for jobs in (MAX_JOBS + 1, 10**5):
             with pytest.raises(ConfigError, match="jobs"):
-                run()
+                sweep(fast_cfg, jobs=jobs)
 
     @pytest.mark.parametrize("command", [["sweep"], ["simulate", "--load", "0.2"]])
     def test_jobs_cap_exit_code(self, config_file, command, no_pool, no_batches, capsys):
@@ -599,6 +607,19 @@ class TestInputGuards:
         for catalog in ("/nonexistent/catalog.txt", str(bad), str(tmp_path)):
             assert cli_main(["predict", str(config_file), "--catalog", catalog, "--out", out]) == 2
             assert "cannot read catalog" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["d22-m2 0,x 2 1\n", "d22-m2 0,2 2\n", "d11-m2 2 2 1\n", "# no patterns\n"],
+        ids=["bad-integer", "field-count", "degree-1", "empty"],
+    )
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    def test_malformed_catalog_exit_code(self, config_file, tmp_path, text, command, no_pool, no_batches, capsys):
+        catalog = tmp_path / "cat.txt"
+        catalog.write_text(text)
+        out = str(tmp_path / "f.csv")
+        assert cli_main([command, str(config_file), "--catalog", str(catalog), "--out", out]) == 2
+        assert "malformed catalog" in capsys.readouterr().err
 
     def test_output_is_a_directory(self, config_file, tmp_path, capsys):
         assert cli_main(["predict", str(config_file), "--out", str(tmp_path)]) == 2

@@ -98,7 +98,7 @@ def test_plain_sweep_accepts_numpy_arrays_and_memoryviews():
     for sys_name, cfg in systems().items():
         trace = generate_trace(cfg, mix, 0.75, HORIZON, np.random.default_rng(5))
         args = sweep_inputs(trace, cfg)
-        views = tuple(memoryview(a) if isinstance(a, np.ndarray) else a for a in args)
+        views = args._make(memoryview(a) if isinstance(a, np.ndarray) else a for a in args)
         dec_a, w_a, n_a, _ = _kernels.sic_sweep_python(*args)
         dec_b, w_b, n_b, _ = _kernels.sic_sweep_python(*views)
         assert n_a == n_b == trace.n_users, sys_name

@@ -183,7 +183,7 @@ def test_long_step_grid_is_left_to_the_sweep(monkeypatch):
     # peel stands aside, and with the cap lifted its grid gives the same outcome
     cfg = SystemConfig.from_db(6.0, 1.5, 50.0, window_step=1e-5)
     trace = generate_trace(cfg, MIXES[0], 0.05, 1000.0, np.random.default_rng(4))
-    n_steps = _geometry(trace, cfg)[6]
+    n_steps = _geometry(trace, cfg).n_steps
     assert n_steps > receiver._MAX_PEEL_STEPS
     assert resolved_share(trace, cfg) == 0.0
     assert_same_as_sweep(trace, cfg)

@@ -6,6 +6,7 @@ import pytest
 from irasim import _kernels
 from irasim.model import DegreeDistribution, SystemConfig
 from irasim.receiver import (
+    SweepInputs,
     make_state,
     run_receiver,
     run_sic_kernel,
@@ -164,7 +165,7 @@ def test_replicas_one_packet_apart_do_not_overlap(cfg200):
     # counts the next one as a neighbour and every user decodes
     trace = manual_trace(cfg200, [(0.0, 50.0), (1.0, 51.0), (2.0, 52.0)])
     args = sweep_inputs(trace, cfg200)
-    rep_start, nb_lo, nb_hi = args[0], args[11], args[12]
+    rep_start, nb_lo, nb_hi = args.rep_start, args.nb_lo, args.nb_hi
     assert rep_start.tolist() == [0.0, 1.0, 2.0, 50.0, 51.0, 52.0]
     assert nb_lo.tolist() == [0, 1, 2, 3, 4, 5]
     assert nb_hi.tolist() == [1, 2, 3, 4, 5, 6]
@@ -180,23 +181,23 @@ def test_neighbour_ranges_bound_open_packet_interval(cfg200):
     rng = np.random.default_rng(3)
     trace = generate_trace(cfg200, DegreeDistribution.regular(3), 1.5, 600.0, rng)
     args = sweep_inputs(trace, cfg200)
-    rep_start, nb_lo, nb_hi = args[0], args[11], args[12]
+    rep_start, nb_lo, nb_hi = args.rep_start, args.nb_lo, args.nb_hi
     for i, s in enumerate(rep_start):
         near = np.flatnonzero(np.abs(rep_start - s) < 1.0)
         assert near.tolist() == list(range(nb_lo[i], nb_hi[i]))
 
 
 def test_sweep_input_positions_read_by_the_benchmark(cfg200):
-    # perfbench's span attributes read the replicas, the users and the step
-    # count of every sweep call from positions 0, 2 and 6
-    names = list(inspect.signature(_kernels.sic_sweep_python).parameters)
+    # the record's fields are the sweep's parameters, in order, so
+    # sic_sweep(*inputs) binds each by name; perfbench's span attributes read
+    # the replicas, the users and the step count from positions 0, 2 and 6
+    names = tuple(inspect.signature(_kernels.sic_sweep_python).parameters)
+    assert SweepInputs._fields == names
     assert [names[0], names[2], names[6]] == ["rep_start", "user_ptr", "n_steps"]
-    assert names[-2:] == ["rad", "n_fatal"]
     trace = manual_trace(cfg200, [(0.0, 50.0), (0.3, 50.3), (500.0, 550.0)])
     args = sweep_inputs(trace, cfg200)
-    assert len(args) == len(names)
-    assert args[0].tolist() == sorted(trace.rep_start.tolist())
-    assert args[2].tolist() == trace.rep_ptr.tolist()
+    assert args.rep_start.tolist() == sorted(trace.rep_start.tolist())
+    assert args.user_ptr.tolist() == trace.rep_ptr.tolist()
     w0 = trace.arrival[0] - cfg200.window_length
     vf_end = trace.arrival[-1] + cfg200.vf_span
-    assert args[6] == int(np.ceil((vf_end - w0) / cfg200.step_length)) + 2
+    assert args.n_steps == int(np.ceil((vf_end - w0) / cfg200.step_length)) + 2
