@@ -10,11 +10,11 @@ exported so the benchmark under benchmarks/ can compare them directly:
 
 Both builds take numpy arrays; ``receiver.SweepInputs`` names every
 parameter of the sweep, in order. The caller passes, per replica, the index
-range ``[nb_lo[i], nb_hi[i])`` of the replicas whose start lies within one
-packet of replica ``i``, so the sweep never searches for neighbours. The plain build reads and writes every array through a
-``memoryview`` of its buffer: element access then yields Python scalars,
-about twice as fast as indexing numpy arrays, with no copy and no change in
-the arithmetic. The compiled build sees the numpy arrays themselves.
+range ``[nb_lo[i], nb_hi[i])`` of the replicas starting within one packet of
+replica ``i``, so the sweep never searches for neighbours. The plain build
+accesses every array through a ``memoryview`` of its buffer, which yields
+Python scalars about twice as fast as numpy indexing, with no copy and no
+change in the arithmetic; the compiled build sees the numpy arrays.
 
 The sweep visits only the steps at which something can happen. Every step
 ends with an empty candidate stack, and a step that neither expires a user
@@ -26,6 +26,18 @@ tests. This matters when the receiver has resolved most users of a sparse
 trace beforehand (``receiver.peel``) and sweeps the few that remain on the
 full trace's step grid. The sweep returns ``(decoded, decided_w,
 n_classified, n_visited)``, the last being the number of steps executed.
+
+The loop tests none of its own invariants: (a) every step starts with an
+empty stack, as the cancel loop runs until it is, so no replica is queued
+when it is admitted; (b) outside the cancellation of one user, a replica is
+active exactly when its owner is unclassified, as decoding and expiry
+deactivate all of the owner's replicas and expiry runs only on an empty
+stack; (c) every queued replica has been admitted (a re-queue needs ``nb <
+admit``) and ``w_end = w0 + step*step_len + win_len`` never falls as
+``step`` grows (each float operation in it is monotone), so it still ends
+inside the window; (d) a replica has at most ``N - 1`` interferers, ``N =
+max(nb_hi - nb_lo)`` the largest neighbour range, so ``mi_table`` holds
+just ``m_0 .. m_N``, sized from the ranges.
 
 Times are in packet durations, so every replica lasts exactly 1.
 
@@ -50,14 +62,14 @@ evaluated after the last decode in the step that raises its MI; since
 cancelling only raises the MI, each step decodes the same set of users, so
 ``decoded`` and ``decided_w`` are bit-identical to the sweep without the
 test (``rad = 0`` with zero counts, which ``receiver`` also passes when the
-test is off).
+test is off; no range test holds then, so no count changes).
 
 Why the test is sound in float64. Let ``u = 2**-53``, ``S`` the largest
 ``|s_i|`` plus 1, ``e = ulp(S)`` (every rounded position errs by at most
 ``e/2``), ``m_k`` the sweep's ``mi_table`` (``m_0 = I0``, ``m_1 = I1`` bit
 for bit as in ``clean_fraction``; correctly rounded, monotone operations
-make ``m_k`` non-increasing), ``N`` the largest neighbour range and
-``margin = phi * 1e-9``, ``rad = phi - margin``.
+make ``m_k`` non-increasing), ``N`` the largest neighbour range as in (d)
+and ``margin = phi * 1e-9``, ``rad = phi - margin``.
 
 * ``j`` in ``F(i)`` means ``|s_j - s_i| < rad + e/2``. As ``rad <= 1 -
   margin``, ``j`` lies in ``i``'s neighbour range and ``i`` in ``j``'s once
@@ -95,11 +107,10 @@ def _build_sweep(jit, view):
     wrapping every array before element access."""
 
     @jit
-    def avg_mi(rep_start, active, i, lo, hi, snr, mi_table, ev_a, ev_b):
-        # Average MI of replica i against every currently active replica in
-        # [lo, hi), the replicas starting within one packet of it. Same-owner
-        # replicas never land in that range because of the one-packet
-        # placement separation. The event buffers hold at least hi - lo entries.
+    def avg_mi(rep_start, active, i, lo, hi, mi_table, ev_a, ev_b):
+        # Average MI of replica i against every active replica in [lo, hi),
+        # those starting within one packet of it; same-owner replicas are
+        # never there, as placement keeps them a packet apart.
         s = rep_start[i]
         s_end = s + 1.0
         k = 0
@@ -127,7 +138,6 @@ def _build_sweep(jit, view):
         ia = 0
         ib = 0
         run = 0
-        n_mi = mi_table.shape[0]
         while ib < k:
             if ia < k and ev_a[ia] <= ev_b[ib]:
                 x = ev_a[ia]
@@ -138,11 +148,7 @@ def _build_sweep(jit, view):
                 ib += 1
                 delta = -1
             if x > prev:
-                if run < n_mi:
-                    mi_k = mi_table[run]
-                else:
-                    mi_k = math.log2(1.0 + snr / (1.0 + run * snr))
-                acc += (x - prev) * mi_k
+                acc += (x - prev) * mi_table[run]
                 prev = x
             run += delta
         if prev < s_end:
@@ -173,7 +179,7 @@ def _build_sweep(jit, view):
         # n_visited counts the steps actually executed out of n_steps.
         n_rep = rep_start.shape[0]
         n_user = user_ptr.shape[0] - 1
-        n_ev = 0  # the largest neighbour range bounds the events of avg_mi
+        n_ev = 0  # the largest neighbour range, N of invariant (d)
         if n_rep > 0:
             n_ev = int(np.max(np.asarray(nb_hi) - np.asarray(nb_lo)))
         rep_start = view(rep_start)
@@ -196,8 +202,8 @@ def _build_sweep(jit, view):
         admit = 0
         trail = 0
 
-        mi_table = view(np.empty(64))
-        for k in range(64):
+        mi_table = view(np.empty(n_ev + 1))
+        for k in range(n_ev + 1):
             mi_table[k] = math.log2(1.0 + snr / (1.0 + k * snr))
         ev_a = view(np.empty(n_ev))
         ev_b = view(np.empty(n_ev))
@@ -218,21 +224,18 @@ def _build_sweep(jit, view):
                     for jj in range(user_ptr[u], user_ptr[u + 1]):
                         r = rep_of_user[jj]
                         active[r] = False
-                        if rad > 0.0:
-                            s_r = rep_start[r]
-                            for nb in range(nb_lo[r], nb_hi[r]):
-                                if nb != r and s_r > rep_start[nb] - rad and s_r < rep_start[nb] + rad:
-                                    n_fatal[nb] -= 1
+                        s_r = rep_start[r]
+                        for nb in range(nb_lo[r], nb_hi[r]):
+                            if nb != r and s_r > rep_start[nb] - rad and s_r < rep_start[nb] + rad:
+                                n_fatal[nb] -= 1
                 trail += 1
 
             # replicas newly contained in the window become candidates, unless
-            # a fatal neighbour is still active; counts only fall, so no
-            # queued replica ever has one
+            # a fatal neighbour is still active
             while admit < n_rep and rep_start[admit] + 1.0 <= w_end:
-                i = admit
-                if active[i] and n_fatal[i] == 0 and not decoded[rep_owner[i]] and not queued[i]:
-                    queued[i] = True
-                    stack[top] = i
+                if active[admit] and n_fatal[admit] == 0:
+                    queued[admit] = True
+                    stack[top] = admit
                     top += 1
                 admit += 1
 
@@ -243,16 +246,10 @@ def _build_sweep(jit, view):
                 top -= 1
                 i = stack[top]
                 queued[i] = False
-                if not active[i]:
+                if not active[i] or rep_start[i] < w:
                     continue
-                u = rep_owner[i]
-                if decoded[u]:
-                    continue
-                s = rep_start[i]
-                if s < w or s + 1.0 > w_end:
-                    continue
-                mi = avg_mi(rep_start, active, i, nb_lo[i], nb_hi[i], snr, mi_table, ev_a, ev_b)
-                if mi >= rate:
+                if avg_mi(rep_start, active, i, nb_lo[i], nb_hi[i], mi_table, ev_a, ev_b) >= rate:
+                    u = rep_owner[i]
                     decoded[u] = True
                     decided_w[u] = w
                     n_done += 1
@@ -261,14 +258,14 @@ def _build_sweep(jit, view):
                         active[r] = False
                         s_r = rep_start[r]
                         for nb in range(nb_lo[r], nb_hi[r]):
-                            if nb == r or queued[nb] or not active[nb]:
+                            if queued[nb] or not active[nb]:
                                 continue
                             s_nb = rep_start[nb]
                             if s_nb < w:
                                 continue
                             if s_r > s_nb - rad and s_r < s_nb + rad:
                                 n_fatal[nb] -= 1
-                            if n_fatal[nb] > 0 or nb >= admit or decoded[rep_owner[nb]]:
+                            if n_fatal[nb] > 0 or nb >= admit:
                                 continue
                             queued[nb] = True
                             stack[top] = nb

@@ -381,7 +381,7 @@ def parse_config_file(path) -> ExperimentConfig:
     """
     scalars: dict[str, str] = {}
     degree_pairs: list[tuple[int, float]] = []
-    loads: list[float] = []
+    loads: list[float] | None = None
     for lineno, raw in enumerate(_config_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -393,6 +393,8 @@ def parse_config_file(path) -> ExperimentConfig:
         value = value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in scalars or (key == "load_grid" and loads is not None):
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
         try:
             if key == "degree":
                 d_s, p_s = value.split()
@@ -424,7 +426,7 @@ def parse_config_file(path) -> ExperimentConfig:
     try:
         system = SystemConfig.from_db(**typed(_SYSTEM_KEYS))
         dist = DegreeDistribution.from_pairs(degree_pairs)
-        loads = tuple(loads) if loads else (0.1,)
+        loads = (0.1,) if loads is None else tuple(loads)
         return ExperimentConfig(system, dist, loads, **typed(_EXPERIMENT_KEYS))
     except ModelError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

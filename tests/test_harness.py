@@ -3,7 +3,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from irasim import cli, errorfloor, harness
@@ -55,6 +55,14 @@ def no_batches(monkeypatch):
         raise AssertionError("a batch started before the input was rejected")
 
     monkeypatch.setattr(harness, "_simulate_batch", no_batch)
+
+
+@pytest.fixture()
+def no_pool(monkeypatch):
+    def pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
 
 
 class _NoDraws:
@@ -132,6 +140,26 @@ class TestConfigFile:
                 distribution=DegreeDistribution.regular(2),
                 load_grid=(),
             )
+
+    def test_empty_load_grid_line_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG_TEXT.replace("load_grid = 0.2 0.3", "load_grid ="))
+        with pytest.raises(ConfigError, match="load grid is empty"):
+            parse_config_file(path)
+        assert cli_main(["predict", str(path), "--out", str(tmp_path / "f.csv")]) == 2
+        assert "load grid is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["rate = 2.0", "rate = 1.5", "load_grid = 0.4", "load_grid =", "seed = 7"])
+    def test_repeated_key_rejected(self, tmp_path, line, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG_TEXT + line + "\n")
+        lineno = CONFIG_TEXT.count("\n") + 1
+        where = f"{path}:{lineno}: key {line.split(' =')[0]!r} given twice"
+        with pytest.raises(ConfigError) as exc:
+            parse_config_file(path)
+        assert str(exc.value) == where
+        assert cli_main(["predict", str(path), "--out", str(tmp_path / "f.csv")]) == 2
+        assert where in capsys.readouterr().err
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -551,13 +579,6 @@ class TestInputGuards:
     """Inputs that must end in exit 2 or 3 before any batch, draw, pool or
     long loop starts."""
 
-    @pytest.fixture()
-    def no_pool(self, monkeypatch):
-        def pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
-
     def test_jobs_cap(self, fast_cfg, no_pool, no_batches):
         for jobs in (MAX_JOBS + 1, 10**5):
             with pytest.raises(ConfigError, match="jobs"):
@@ -678,3 +699,55 @@ def test_parse_config_file_returns_a_config_or_a_config_error(generated_config, 
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
+
+
+_CLI_VALUES = st.one_of(
+    st.sampled_from(["-1", "0", "1", "2", "0.2", "-0.3", "10", "11", "257", "1e6", "1e308", "-1e308",
+                     "1e-320", "9" * 400, "nan", "inf", "-inf", "one", "", "0x10"]),
+    st.floats().map(repr),
+    st.integers(min_value=-(10**30), max_value=10**30).map(str),
+)
+# (required, optional) numeric flags of each command
+_CLI_FLAGS = {
+    "predict": ((), ()),
+    "simulate": (("--load",), ("--seed", "--jobs")),
+    "sweep": ((), ("--seed", "--jobs")),
+    "dump-trace": (("--load", "--horizon"), ("--seed",)),
+    "verify-ucp": ((), ("--min-periods", "--max-periods")),
+}
+_CLI_ARGS = st.sampled_from(sorted(_CLI_FLAGS)).flatmap(
+    lambda command: st.tuples(
+        st.just(command),
+        st.fixed_dictionaries(
+            {flag: _CLI_VALUES for flag in _CLI_FLAGS[command][0]},
+            optional={flag: _CLI_VALUES for flag in _CLI_FLAGS[command][1]},
+        ),
+    )
+)
+# what the stand-ins below raise: no batch, draw, pool or enumeration runs
+_STAND_INS = ("before the input was rejected", "a process pool was started", "counting started")
+
+
+@pytest.fixture()
+def no_work(no_batches, no_draws, no_pool, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("counting started")
+
+    monkeypatch.setattr(cli, "count_configurations", no_count)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(args=_CLI_ARGS)
+def test_cli_ends_in_an_exit_code_or_a_stand_in(config_file, tmp_path, no_work, args):
+    command, flags = args
+    argv = [command] + ([] if command == "verify-ucp" else [str(config_file), "--out", str(tmp_path / "out")])
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    try:
+        rc = cli_main(argv)
+    except SystemExit as exc:  # argparse rejects the flag or its value
+        rc = exc.code
+    except AssertionError as exc:
+        assert any(stand_in in str(exc) for stand_in in _STAND_INS), exc
+        return
+    assert rc in (0, 2, 3)

@@ -201,3 +201,37 @@ def test_sweep_input_positions_read_by_the_benchmark(cfg200):
     w0 = trace.arrival[0] - cfg200.window_length
     vf_end = trace.arrival[-1] + cfg200.vf_span
     assert args.n_steps == int(np.ceil((vf_end - w0) / cfg200.step_length)) + 2
+
+
+def test_mi_table_covers_the_largest_neighbour_range(cfg200):
+    # 80 degree-2 users whose first replicas all start within one packet and
+    # whose second replicas are isolated. Below I1 (6 dB, rate 0.8) phi = 0,
+    # so no first replica is skipped as fatal: the last one admitted is
+    # evaluated against its 79 active neighbours, which reads mi_table[79].
+    cfg = SystemConfig.from_db(6.0, 0.8, cfg200.vf_span)
+    n = 80
+    trace = manual_trace(cfg, [(0.0125 * u, 30.0 + 1.5 * u) for u in range(n)])
+    args = sweep_inputs(trace, cfg)
+    assert args.rad == 0.0 and not args.n_fatal.any()
+    assert int(np.max(args.nb_hi - args.nb_lo)) == n
+
+    seen = []
+
+    def hook(fn):
+        if fn.__name__ != "avg_mi":
+            return fn
+
+        def avg_mi(rep_start, active, i, lo, hi, *rest):
+            seen.append(sum(1 for j in range(lo, hi) if j != i and active[j]))
+            return fn(rep_start, active, i, lo, hi, *rest)
+
+        return avg_mi
+
+    decoded, decided_w, _, _ = _kernels._build_sweep(hook, memoryview)(*args)
+    assert max(seen) >= 64
+    want = _kernels.sic_sweep(*args)
+    assert np.array_equal(decoded, want[0]) and np.array_equal(decided_w, want[1])
+    dk, lk = run_receiver(trace, cfg, engine="kernel")
+    dr, lr = run_receiver(trace, cfg, engine="reference")
+    assert np.array_equal(dk, dr) and np.array_equal(lk, lr)
+    assert np.array_equal(dk, np.flatnonzero(decoded))
