@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .errorfloor import (
     _MAX_ENUM_PERIODS,
     FloorError,
@@ -26,7 +24,6 @@ from .errorfloor import (
 )
 from .harness import ConfigError, parse_config_file, predict, sweep
 from .model import ModelError
-from .traffic import generate_trace
 
 
 def _add_common_sim_args(p: argparse.ArgumentParser) -> None:
@@ -130,6 +127,10 @@ def _cmd_verify_ucp(args) -> int:
 
 
 def _cmd_dump_trace(args) -> int:
+    import numpy as np
+
+    from .traffic import generate_trace
+
     cfg = _apply_seed(parse_config_file(args.config), args.seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
     trace = generate_trace(cfg.system, cfg.distribution, args.load, args.horizon, rng)

@@ -40,12 +40,8 @@ from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
-import numpy as np
-
 from .errorfloor import CollisionPattern, FloorParams, floor_params, plr_floor
 from .model import DegreeDistribution, ModelError, SystemConfig, validate_config
-from .receiver import run_sic_kernel
-from .traffic import generate_trace
 
 #: Virtual frames of usable span per Monte Carlo batch; the window-length
 #: margins added on both sides keep the edge exclusion under a few percent.
@@ -177,8 +173,29 @@ def wilson_interval(lost: int, total: int, confidence: float = 0.95) -> tuple[fl
 
 def point_seed(master_seed: int, point_index: int) -> int:
     """Derive the 64-bit seed of one load point from the master seed."""
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(point_index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+# The simulation layers are imported on first use, so that the analytic
+# commands load no numpy. ``_simulate_batch`` looks these two names up in
+# this module on every call, where a caller may wrap them.
+
+
+def generate_trace(cfg, dist, load, horizon, rng):
+    """:func:`irasim.traffic.generate_trace`."""
+    from .traffic import generate_trace
+
+    return generate_trace(cfg, dist, load, horizon, rng)
+
+
+def run_sic_kernel(trace, cfg):
+    """:func:`irasim.receiver.run_sic_kernel`."""
+    from .receiver import run_sic_kernel
+
+    return run_sic_kernel(trace, cfg)
 
 
 @dataclass(frozen=True)
@@ -203,6 +220,8 @@ def _simulate_batch(
     are counted, so window warm-up at the trace edges cannot bias the loss
     rate. Edge users still act as interference.
     """
+    import numpy as np
+
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
     margin = system.window_length
     horizon = BATCH_VF_COUNT * system.vf_span + 2.0 * margin
@@ -315,6 +334,9 @@ def sweep(
     ``outcome_sink`` receives each point's per-user outcome lines in grid
     order; user ids restart at 0 for every point.
     """
+    # receiver loads traffic and _kernels too; pool workers forked below inherit them
+    from . import receiver  # noqa: F401
+
     params = floor_params(cfg.system)
     points = [(g, point_seed(cfg.seed, i)) for i, g in enumerate(cfg.load_grid)]
     with _batch_executor(jobs) as executor:

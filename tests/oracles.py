@@ -1,9 +1,11 @@
 """Independent reference computations used to pin expected test values.
 
 These deliberately avoid the library's own code paths: the loss-floor double
-sum is re-done in arbitrary precision with mpmath, replica placement is
-re-done by literal rejection sampling, configuration counts by a plain
-labelled enumeration, and the average mutual information on a symbol grid.
+sum is re-done in arbitrary precision with mpmath and, term by term in the
+library's float order, with every pattern count recomputed for each ``m``;
+replica placement is re-done by literal rejection sampling, configuration
+counts by a plain labelled enumeration, and the average mutual information
+on a symbol grid.
 """
 
 import math
@@ -11,6 +13,14 @@ from itertools import combinations
 
 import mpmath as mp
 import numpy as np
+
+from irasim.errorfloor import (
+    _clamp,
+    _floor_setup,
+    _mix_over_poisson,
+    edge_assignment_count,
+    period_choice_count,
+)
 
 TABLE_ROWS = [
     ((0, 2, 0, 0), 2, 1),
@@ -61,6 +71,54 @@ def plr_floor_mp(load, vf_span, snr_db, rate, dist_pairs, m_max=400, dps=60):
                         d *= (n_v * mp.binomial(n_v - 1, l - 1)) ** cnt
                 total += pois * a * b * c / d * mp.mpf(nu) / m
         return float(total)
+
+
+def profile_selection_count(m, profile, dist):
+    """Expected number of ways to pick the pattern's users out of ``m``.
+
+    Counts ordered choices of ``nu`` users from ``m`` and weighs them by the
+    probability that the chosen users carry exactly the profile's degrees.
+    Returns 0 when ``m`` is too small or a required degree has no mass.
+    """
+    profile = tuple(int(c) for c in profile)
+    nu = sum(profile)
+    if m < nu:
+        return 0.0
+    acc = float(math.comb(m, nu) * math.factorial(nu))
+    for l, cnt in enumerate(profile, start=1):
+        if cnt == 0:
+            continue
+        p = dist.prob(l)
+        if p <= 0.0:
+            return 0.0
+        acc *= p**cnt / math.factorial(cnt)
+    return acc
+
+
+def prob_user_in_pattern_per_m(m, pattern, n_v, dist, diagnostics=None):
+    """The per-user pattern probability with every count recomputed at ``m``,
+    in the float order of ``irasim.errorfloor.pattern_term``."""
+    sel = profile_selection_count(m, pattern.profile, dist)
+    if sel == 0.0:
+        return 0.0
+    periods = period_choice_count(n_v, pattern.num_sets)
+    total = edge_assignment_count(n_v, pattern.profile)
+    pr = sel * pattern.iso_count * pattern.num_users * (periods / (m * total))
+    return _clamp(pr, diagnostics)
+
+
+def plr_floor_per_m(load, cfg, dist, catalog=None, *, diagnostics=None):
+    """``plr_floor`` with :func:`prob_user_in_pattern_per_m` as the per-pattern
+    term: the same set-up and Poisson mixture, so values and diagnostics
+    compare with ``==``."""
+    n_v, feasible = _floor_setup(cfg, dist, catalog, diagnostics)
+    if not feasible:
+        return 0.0
+
+    def per_m(m):
+        return sum(prob_user_in_pattern_per_m(m, s, n_v, dist, diagnostics) for s in feasible)
+
+    return _mix_over_poisson(cfg.vf_span * load, per_m, diagnostics)
 
 
 def two_user_closed_form(load, vf_span, n_v):

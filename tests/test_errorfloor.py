@@ -1,11 +1,13 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from irasim.errorfloor import (
     _MAX_ENUM_PERIODS,
+    MAX_POISSON_TERMS,
     CollisionChannelRegimeWarning,
     CollisionPattern,
     DegenerateVulnerablePeriod,
@@ -22,15 +24,24 @@ from irasim.errorfloor import (
     plr_regular,
     plr_two_user,
     prob_user_in_pattern,
-    profile_selection_count,
     two_user_pattern,
     vp_count,
     vulnerable_fraction,
     write_catalog,
 )
+from irasim.harness import parse_config_file
 from irasim.model import DegreeDistribution, SystemConfig
 
-from oracles import count_configurations_labelled, plr_floor_mp, two_user_closed_form
+from oracles import (
+    count_configurations_labelled,
+    plr_floor_mp,
+    plr_floor_per_m,
+    prob_user_in_pattern_per_m,
+    profile_selection_count,
+    two_user_closed_form,
+)
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 RHO = 10**0.6
 
@@ -131,6 +142,26 @@ class TestProbUserInPattern:
                         pr = prob_user_in_pattern(m, s, n_v, dist)
                         assert 0.0 <= pr <= 1.0
 
+    def test_equals_per_m_oracle(self, dist_x2, dist_lambda1, dist_lambda2):
+        for dist in (dist_x2, dist_lambda1, dist_lambda2):
+            for n_v in (4, 5, 112, 225):
+                for s in builtin_catalog():
+                    for m in range(2, 40):
+                        d_new, d_old = {}, {}
+                        got = prob_user_in_pattern(m, s, n_v, dist, d_new)
+                        assert got == prob_user_in_pattern_per_m(m, s, n_v, dist, d_old)
+                        assert d_new == d_old
+        assert d_new == {}  # nothing clamped at n_v = 225
+        assert prob_user_in_pattern(4, builtin_catalog()[0], 2, dist_x2, d_new) == 1.0
+        assert d_new == {"clamped_terms": 1}
+
+    def test_degree_above_num_sets_rejected(self, dist_x3):
+        # two degree-3 users cannot share two periods: each needs three
+        pair = CollisionPattern("x", (0, 0, 2), 2, 1)
+        for n_v in (2, 225):
+            with pytest.raises(InfeasiblePattern, match="3 distinct periods"):
+                prob_user_in_pattern(5, pair, n_v, dist_x3)
+
 
 class TestPlrFloor:
     def test_matches_high_precision_oracle(self, cfg_tf200_r15, dist_x2):
@@ -174,6 +205,56 @@ class TestPlrFloor:
             a = plr_floor(g, cfg_tf200_r15, dist_lambda2)
             b = plr_floor_mp(g, 200, 6.0, 1.5, dist_lambda2.entries)
             assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestPerMOracle:
+    """``plr_floor`` sets each pattern up once; the oracle recomputes every
+    count for each ``m``. Same float operations, so ``==`` throughout."""
+
+    @staticmethod
+    def assert_same(load, cfg, dist, catalog=None):
+        d_new, d_old = {}, {}
+        got = plr_floor(load, cfg, dist, catalog, diagnostics=d_new)
+        want = plr_floor_per_m(load, cfg, dist, catalog, diagnostics=d_old)
+        assert got == want, (load, got, want)
+        assert d_new == d_old
+        return d_new
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_config_grids(self, path):
+        cfg = parse_config_file(path)
+        for g in cfg.load_grid:
+            self.assert_same(g, cfg.system, cfg.distribution)
+
+    def test_random_loads(self):
+        cfgs = [parse_config_file(p) for p in CONFIGS]
+        # the largest lam whose Poisson mixture stays under the term cap
+        lam_max = (math.sqrt(144 + 4 * (MAX_POISSON_TERMS - 50)) - 12) ** 2 / 4
+        rng = random.Random(20_261_019)
+        m_terms = []
+        for _ in range(200):
+            cfg = rng.choice(cfgs)
+            lam = math.exp(rng.uniform(math.log(1e-3), math.log(lam_max)))
+            m_terms.append(self.assert_same(lam / cfg.system.vf_span, cfg.system, cfg.distribution)["m_terms"])
+        irr1 = cfgs[[p.stem for p in CONFIGS].index("irr1_tf200_r15")]
+        near_cap = self.assert_same(0.999 * lam_max / irr1.system.vf_span, irr1.system, irr1.distribution)
+        assert max(m_terms) > MAX_POISSON_TERMS / 4
+        assert near_cap["m_terms"] > 0.9 * MAX_POISSON_TERMS
+
+    def test_custom_catalog_clamped(self):
+        # three periods per frame: most terms exceed 1 and are capped
+        cfg = SystemConfig.from_db(6.0, 2.0, 6.0)
+        assert floor_params(cfg).n_v == 3
+        dist = DegreeDistribution.from_pairs([(2, 0.6), (3, 0.4)])
+        catalog = (
+            CollisionPattern("d22-m2", (0, 2, 0), 2, 1),
+            CollisionPattern("d223-m3", (0, 2, 1), 3, 5),
+            CollisionPattern("d222-m3", (0, 3, 0), 3, 6),
+            CollisionPattern("d333-m3", (0, 0, 3), 3, 2),
+            CollisionPattern("d2233-m3", (0, 2, 2), 3, 40),
+        )
+        clamped = [self.assert_same(g, cfg, dist, catalog).get("clamped_terms", 0) for g in (0.05, 0.5, 2.0)]
+        assert clamped[0] < clamped[1] < clamped[2]
 
 
 class TestSpecialisations:
@@ -266,6 +347,14 @@ class TestCatalog:
         path.write_text("only three fields 4\n")
         with pytest.raises(FloorError):
             load_catalog(path)
+
+    def test_degree_above_num_sets_rejected(self, tmp_path):
+        path = tmp_path / "cat.txt"
+        path.write_text("d22-m2 0,2 2 1\nx 0,0,2 2 1\n")
+        with pytest.raises(FloorError, match=r"cat.txt:2: .*3 distinct periods"):
+            load_catalog(path)
+        # the constructor stays permissive: the enumeration counts such a pattern as 0
+        assert count_configurations(CollisionPattern("x", (0, 0, 2), 2, 1), 6) == 0
 
 
 def random_patterns(seed, count, *, extra_periods, oracle_budget=None, nonzero_only=False):

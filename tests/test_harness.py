@@ -415,6 +415,19 @@ class TestCli:
         )
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    def test_catalog_degree_above_num_sets(self, command, tmp_path, no_batches, capsys):
+        # n_v = 2 here; a row whose degree-3 users share 2 periods once
+        # divided by a zero placement count
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("snr_db = 6\nrate = 1.8\nvf_span = 3\ndegree = 3 1.0\nmin_users_per_point = 10000\n")
+        cat = tmp_path / "cat.txt"
+        cat.write_text("x 0,0,2 2 1\n")
+        rc = cli_main([command, str(cfg), "--catalog", str(cat), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "malformed catalog" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("snr_db = 6\nrate = 1.5\nvf_span = 20\ndegree = 2 0.5\n")
