@@ -143,9 +143,12 @@ class TestProbUserInPattern:
                         assert 0.0 <= pr <= 1.0
 
     def test_equals_per_m_oracle(self, dist_x2, dist_lambda1, dist_lambda2):
+        # counts that are not 2**k or 3 * 2**k, so that reordering the
+        # integer factors of a term changes its rounding
+        extra = (CollisionPattern("d233-m3", (0, 1, 2), 3, 7), CollisionPattern("d2223-m4", (0, 3, 1), 4, 5))
         for dist in (dist_x2, dist_lambda1, dist_lambda2):
             for n_v in (4, 5, 112, 225):
-                for s in builtin_catalog():
+                for s in builtin_catalog() + extra:
                     for m in range(2, 40):
                         d_new, d_old = {}, {}
                         got = prob_user_in_pattern(m, s, n_v, dist, d_new)
