@@ -36,8 +36,8 @@ stack; (c) every queued replica has been admitted (a re-queue needs ``nb <
 admit``) and ``w_end = w0 + step*step_len + win_len`` never falls as
 ``step`` grows (each float operation in it is monotone), so it still ends
 inside the window; (d) a replica has at most ``N - 1`` interferers, ``N =
-max(nb_hi - nb_lo)`` the largest neighbour range, so ``mi_table`` holds
-just ``m_0 .. m_N``, sized from the ranges.
+max(nb_hi - nb_lo)`` the largest neighbour range, so the caller's
+``mi_table``, which holds at least ``m_0 .. m_N``, covers every level.
 
 Times are in packet durations, so every replica lasts exactly 1.
 
@@ -50,13 +50,15 @@ fl(s_i - rad) and s_j < fl(s_i + rad)}`` (``s`` = ``rep_start``, ``fl`` =
 float64 rounding; two ``searchsorted`` calls). The sweep keeps, on a copy,
 ``n_fatal[i]`` equal to the number of *active* replicas in ``F(i)`` for
 every replica that can still be evaluated (active, not yet behind the
-window start), and never below it: when the owner of ``r`` is cancelled,
-by decoding or by expiry, it decrements ``n_fatal[nb]`` for the ``nb`` in
-``r``'s neighbour range with ``s_r > s_nb - rad and s_r < s_nb + rad``, the
-same float expressions. A decode skips the neighbours that can no longer be
-evaluated, and the queued ones, whose count is already zero. A replica with
-a positive count is never pushed, neither at admission nor when a neighbour
-decodes; it is pushed once a decode brings its count to zero.
+window start), and never below it. Counts fall only on decodes: when the
+owner of ``r`` decodes, the sweep decrements ``n_fatal[nb]`` for the ``nb``
+in ``r``'s neighbour range with ``s_r > s_nb - rad and s_r < s_nb + rad``
+(the same float expressions) that can still be evaluated and are not
+queued, as a queued count is already zero. Expiry needs none, as a user
+expires once ``vf_end < w``, after the last start ``vf_end - 1`` of its
+replicas, so any replica within ``rad <= 1 - margin`` of one is behind ``w``.
+A replica with a positive count is never pushed, neither at admission nor
+when a neighbour decodes; it is pushed once a decode brings its count to 0.
 Only evaluations that fail are dropped, and every replica is still
 evaluated after the last decode in the step that raises its MI; since
 cancelling only raises the MI, each step decodes the same set of users, so
@@ -68,8 +70,8 @@ Why the test is sound in float64. Let ``u = 2**-53``, ``S`` the largest
 ``|s_i|`` plus 1, ``e = ulp(S)`` (every rounded position errs by at most
 ``e/2``), ``m_k`` the sweep's ``mi_table`` (``m_0 = I0``, ``m_1 = I1`` bit
 for bit as in ``clean_fraction``; correctly rounded, monotone operations
-make ``m_k`` non-increasing), ``N`` the largest neighbour range as in (d)
-and ``margin = phi * 1e-9``, ``rad = phi - margin``.
+make ``m_k`` non-increasing), ``N`` the last index of ``mi_table`` (d) and
+``margin = phi * 1e-9``, ``rad = phi - margin``.
 
 * ``j`` in ``F(i)`` means ``|s_j - s_i| < rad + e/2``. As ``rad <= 1 -
   margin``, ``j`` lies in ``i``'s neighbour range and ``i`` in ``j``'s once
@@ -83,7 +85,7 @@ and ``margin = phi * 1e-9``, ``rad = phi - margin``.
   most ``2N + 1`` segments, ``avg_mi < rate`` whenever ``margin`` exceeds
   ``err = 2(e + u) + (e*m_1 + 8u*((2N + 1)*m_0 + rate)) / (m_0 - m_1)``.
 
-``receiver.with_fatal_counts`` switches the test off (``rad = 0``) unless
+``receiver._geometry`` switches the test off (``rad = 0``) unless
 ``margin > 2 * err``, and when ``phi = 0``. At 6 dB and rate 1.5 on the
 benchmark's traces (``S`` about 4e4) ``err`` is about 2e-11 against a
 margin of 4.4e-10; the test stays on up to ``S`` about 5e5, and near ``S =
@@ -166,7 +168,7 @@ def _build_sweep(jit, view):
         n_steps,
         step_len,
         win_len,
-        snr,
+        mi_table,
         rate,
         nb_lo,
         nb_hi,
@@ -179,14 +181,12 @@ def _build_sweep(jit, view):
         # n_visited counts the steps actually executed out of n_steps.
         n_rep = rep_start.shape[0]
         n_user = user_ptr.shape[0] - 1
-        n_ev = 0  # the largest neighbour range, N of invariant (d)
-        if n_rep > 0:
-            n_ev = int(np.max(np.asarray(nb_hi) - np.asarray(nb_lo)))
         rep_start = view(rep_start)
         rep_owner = view(rep_owner)
         user_ptr = view(user_ptr)
         rep_of_user = view(rep_of_user)
         vf_end = view(vf_end)
+        mi_table = view(mi_table)
         nb_lo = view(nb_lo)
         nb_hi = view(nb_hi)
         n_fatal = view(np.copy(n_fatal))  # the inputs stay reusable
@@ -202,11 +202,8 @@ def _build_sweep(jit, view):
         admit = 0
         trail = 0
 
-        mi_table = view(np.empty(n_ev + 1))
-        for k in range(n_ev + 1):
-            mi_table[k] = math.log2(1.0 + snr / (1.0 + k * snr))
-        ev_a = view(np.empty(n_ev))
-        ev_b = view(np.empty(n_ev))
+        ev_a = view(np.empty(mi_table.shape[0] - 1))  # N events of invariant (d)
+        ev_b = view(np.empty(mi_table.shape[0] - 1))
 
         step = 0
         n_visited = 0
@@ -222,12 +219,7 @@ def _build_sweep(jit, view):
                     decided_w[u] = w
                     n_done += 1
                     for jj in range(user_ptr[u], user_ptr[u + 1]):
-                        r = rep_of_user[jj]
-                        active[r] = False
-                        s_r = rep_start[r]
-                        for nb in range(nb_lo[r], nb_hi[r]):
-                            if nb != r and s_r > rep_start[nb] - rad and s_r < rep_start[nb] + rad:
-                                n_fatal[nb] -= 1
+                        active[rep_of_user[jj]] = False
                 trail += 1
 
             # replicas newly contained in the window become candidates, unless

@@ -193,7 +193,7 @@ def validate_config(cfg: SystemConfig, dist: DegreeDistribution) -> None:
     """
     cfg.validate()
     dist.validate()
-    if dist.d_m > cfg.vf_span + PROB_TOL:
+    if dist.d_m > cfg.vf_span:
         raise DegreeTooLargeForVF(
             f"{dist.d_m} replicas cannot fit a virtual frame of {cfg.vf_span} packet durations"
         )

@@ -190,11 +190,11 @@ class SweepInputs(NamedTuple):
     n_steps: int  # steps of the grid
     step_len: float  # window advance per step
     win_len: float  # window length
-    snr: float  # linear SNR
+    mi_table: np.ndarray  # symbol MI under 0..N interferers, N = max(nb_hi - nb_lo) of the whole trace
     rate: float  # code rate
     nb_lo: np.ndarray  # replicas nb_lo[i]:nb_hi[i] start strictly less than
     nb_hi: np.ndarray  # one packet away from replica i (one packet away only touches)
-    rad: float = 0.0  # fatal radius, 0.0 with the fatal pre-test off
+    rad: float  # fatal radius, 0.0 with the fatal pre-test off
     n_fatal: np.ndarray | None = None  # per replica, the others starting strictly within rad
 
 
@@ -205,11 +205,16 @@ def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
 
 
 def _geometry(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
-    """The trace's replicas and the receiver's step grid, without the fatal
-    radius and counts."""
+    """The trace's replicas, the receiver's step grid, the MI levels and the
+    fatal radius: everything but the fatal counts."""
     rep_start, rep_owner, pos = _sorted_replicas(trace)
     vf_end = np.ascontiguousarray(trace.arrival + cfg.vf_span)
     w0 = float(trace.arrival[0]) - cfg.window_length
+    # int32 halves the two largest arrays the sweep holds next to the fatal
+    # counts and their copy; on dense traces that sets the peak memory
+    nb_lo = np.searchsorted(rep_start, rep_start - 1.0, side="right").astype(np.int32)
+    nb_hi = np.searchsorted(rep_start, rep_start + 1.0, side="left").astype(np.int32)
+    mi_table = np.array([symbol_mi(cfg.snr_linear, k) for k in range(int((nb_hi - nb_lo).max()) + 1)])
     return SweepInputs(
         rep_start=rep_start,
         rep_owner=rep_owner,
@@ -220,12 +225,11 @@ def _geometry(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
         n_steps=int(np.ceil((float(vf_end[-1]) - w0) / cfg.step_length)) + 2,
         step_len=cfg.step_length,
         win_len=cfg.window_length,
-        snr=cfg.snr_linear,
+        mi_table=mi_table,
         rate=cfg.rate,
-        # int32 halves the two largest arrays the sweep holds next to the
-        # fatal counts and their copy; on dense traces that sets the peak memory
-        nb_lo=np.searchsorted(rep_start, rep_start - 1.0, side="right").astype(np.int32),
-        nb_hi=np.searchsorted(rep_start, rep_start + 1.0, side="left").astype(np.int32),
+        nb_lo=nb_lo,
+        nb_hi=nb_hi,
+        rad=_fatal_radius(rep_start, mi_table, clean_fraction(cfg.snr_linear, cfg.rate), cfg.rate),
     )
 
 
@@ -236,26 +240,24 @@ _U = 2.0**-53
 _COUNT_BLOCK = 8192
 
 
-def _fatal_radius(rep_start, nb_lo, nb_hi, snr: float, rate: float) -> float:
+def _fatal_radius(rep_start, mi_table, phi: float, rate: float) -> float:
     """Radius of the fatal pre-test of :mod:`irasim._kernels`, or 0.0 to
     switch it off. The margin and the bound it must dominate are derived in
-    that module's docstring."""
-    phi = clean_fraction(snr, rate)
-    m0 = symbol_mi(snr, 0)
-    m1 = symbol_mi(snr, 1)
-    if not (phi > 0.0 and m0 > m1 and rep_start.shape[0] > 0):
+    that module's docstring; as ``S`` and ``N`` there only fall on a subset
+    of the replicas, a trace's radius holds for any subset of its users."""
+    m0, m1 = mi_table[0], mi_table[1]
+    if not (phi > 0.0 and m0 > m1):
         return 0.0
     margin = phi * 1e-9
     e = math.ulp(max(abs(float(rep_start[0])), abs(float(rep_start[-1]))) + 1.0)
-    n_seg = 2 * int((nb_hi - nb_lo).max()) + 1
+    n_seg = 2 * (mi_table.shape[0] - 1) + 1
     err = 2.0 * (e + _U) + (e * m1 + 8.0 * _U * (n_seg * m0 + rate)) / (m0 - m1)
     return phi - margin if 2.0 * err < margin else 0.0
 
 
 def with_fatal_counts(geom: SweepInputs) -> SweepInputs:
-    """``geom`` with the fatal radius and counts computed from its replicas."""
-    rep_start = geom.rep_start
-    rad = _fatal_radius(rep_start, geom.nb_lo, geom.nb_hi, geom.snr, geom.rate)
+    """``geom`` with the fatal counts for its radius ``geom.rad``."""
+    rep_start, rad = geom.rep_start, geom.rad
     n_fatal = np.zeros(rep_start.shape[0], dtype=np.int32)
     if rad > 0.0:
         for a in range(0, rep_start.shape[0], _COUNT_BLOCK):
@@ -264,7 +266,7 @@ def with_fatal_counts(geom: SweepInputs) -> SweepInputs:
             hi -= rep_start.searchsorted(s - rad, "right")
             # the replica itself is in its range
             np.subtract(hi, 1, out=n_fatal[a:a + _COUNT_BLOCK], casting="unsafe")
-    return geom._replace(rad=rad, n_fatal=n_fatal)
+    return geom._replace(n_fatal=n_fatal)
 
 
 #: Rounds after which the taint spread or the decode-step iteration of
@@ -339,9 +341,7 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     rep_start, rep_owner, nb_lo, nb_hi = geom.rep_start, geom.rep_owner, geom.nb_lo, geom.nb_hi
     n_users = geom.vf_end.shape[0]
     n_rep = rep_start.shape[0]
-    # the sweep's mi_table[0] and mi_table[1]
-    mi0 = symbol_mi(geom.snr, 0)
-    mi1 = symbol_mi(geom.snr, 1)
+    mi0, mi1 = geom.mi_table[0], geom.mi_table[1]
     if not mi0 >= geom.rate or geom.n_steps > _MAX_PEEL_STEPS:
         return None
 
@@ -429,9 +429,10 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
 
 
 def _restrict(geom: SweepInputs, keep: np.ndarray) -> SweepInputs:
-    """The :func:`_geometry` of the users in mask ``keep`` alone, on the same
-    step grid. No replica of a kept user may have a dropped one in its
-    neighbour range, so the kept ranges map onto the kept replicas."""
+    """The :func:`_geometry` of the users in mask ``keep`` alone, with the
+    whole trace's step grid, MI levels and radius. No replica of a kept user
+    may have a dropped one in its neighbour range, so the kept ranges map
+    onto the kept replicas."""
     keep_rep = keep[geom.rep_owner]
     rank = np.zeros(keep_rep.shape[0] + 1, dtype=np.int64)  # kept replicas before each index
     np.cumsum(keep_rep, out=rank[1:])

@@ -5,6 +5,16 @@ from irasim.model import DegreeDistribution, SystemConfig
 from irasim.traffic import TrafficTrace
 
 
+#: Degree mixes the differential receiver tests cycle through: the two
+#: regular ones, then those of `dist_lambda1` and `dist_lambda2` below.
+MIXES = (
+    DegreeDistribution.regular(2),
+    DegreeDistribution.regular(3),
+    DegreeDistribution.from_pairs([(2, 0.263), (3, 0.344), (5, 0.393)]),
+    DegreeDistribution.from_pairs([(2, 0.51), (4, 0.49)]),
+)
+
+
 @pytest.fixture(scope="session")
 def cfg_tf200_r15():
     return SystemConfig.from_db(6.0, 1.5, 200.0)

@@ -14,23 +14,12 @@ import numpy as np
 import pytest
 
 from irasim import _kernels
-from irasim.channel import clean_fraction
-from irasim.model import DegreeDistribution, SystemConfig
+from irasim.channel import clean_fraction, symbol_mi
+from irasim.model import SystemConfig
 from irasim.receiver import _geometry, _restrict, peel, run_sic_kernel, sweep_inputs, with_fatal_counts
 from irasim.traffic import TrafficTrace, generate_trace
 
-from conftest import manual_trace
-
-MIXES = (
-    DegreeDistribution.regular(2),
-    DegreeDistribution.regular(3),
-    DegreeDistribution.from_pairs([(2, 0.263), (3, 0.344), (5, 0.393)]),
-    DegreeDistribution.from_pairs([(2, 0.51), (4, 0.49)]),
-)
-
-
-def mi_level(snr, k):
-    return math.log2(1.0 + snr / (1.0 + k * snr))
+from conftest import MIXES, manual_trace
 
 
 def skip_off(args):
@@ -62,7 +51,7 @@ def random_system(k, rng):
     step = span if k % 7 == 0 else float(rng.uniform(0.01, span))
     snr_db = float(rng.uniform(3.0, 10.0))
     snr = 10.0 ** (snr_db / 10.0)
-    i0, i1 = mi_level(snr, 0), mi_level(snr, 1)
+    i0, i1 = symbol_mi(snr, 0), symbol_mi(snr, 1)
     kind = k % 8
     if kind == 0:  # phi = 0: one interferer is never fatal
         rate = float(rng.uniform(0.1, i1))
@@ -275,7 +264,7 @@ def test_guard_switches_the_test_off_near_1e9():
 
 def test_receiver_emits_no_regime_warning_per_batch():
     snr = 10.0 ** 0.6
-    cfg = SystemConfig.from_db(6.0, mi_level(snr, 0) + 0.25, 20.0)
+    cfg = SystemConfig.from_db(6.0, symbol_mi(snr, 0) + 0.25, 20.0)
     trace = generate_trace(cfg, MIXES[0], 0.5, 200.0, np.random.default_rng(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

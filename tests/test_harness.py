@@ -392,12 +392,15 @@ class TestCli:
         assert rc == 0
         assert out.read_text().count("\n") == 4
 
-    def test_simulate_prints_row(self, config_file, capsys):
-        rc = cli_main(["simulate", str(config_file), "--load", "0.2"])
+    def test_simulate_prints_row(self, config_file, tmp_path, capsys):
+        out = tmp_path / "row.csv"
+        rc = cli_main(["simulate", str(config_file), "--load", "0.2", "--out", str(out)])
         assert rc == 0
-        lines = capsys.readouterr().out.strip().split("\n")
+        printed = capsys.readouterr().out
+        lines = printed.strip().split("\n")
         assert lines[1] == "load,users,lost,plr,ci_lo,ci_hi,plr_floor"
         assert lines[2].startswith("0.2,")
+        assert out.read_text() == printed
 
     def test_catalog_override_matches_builtin(self, config_file, tmp_path):
         from irasim.errorfloor import builtin_catalog, write_catalog
@@ -426,6 +429,18 @@ class TestCli:
         rc = cli_main([command, str(cfg), "--catalog", str(cat), "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "malformed catalog" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    def test_degree_just_above_vf_span(self, command, tmp_path, no_batches, capsys):
+        # the frame is a hair shorter than three packets: no tolerance lets
+        # the degree-3 users fit, so predict rejects it as sweep does
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("vf_span = 20", "vf_span = 2.9999999999995")
+                       .replace("degree = 2 1.0", "degree = 3 1.0"))
+        rc = cli_main([command, str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "cannot fit" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path):
@@ -527,6 +542,13 @@ class TestCli:
         assert cli_main(argv) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_verify_ucp_mismatch_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "count_configurations", lambda pattern, n: 0)
+        assert cli_main(["verify-ucp", "--min-periods", "4", "--max-periods", "4"]) == 3
+        out, err = capsys.readouterr()
+        assert out.count("MISMATCH") == len(builtin_catalog())
+        assert f"{len(builtin_catalog())} mismatches" in err
+
     def test_verify_ucp_small(self, capsys):
         rc = cli_main(["verify-ucp", "--min-periods", "4", "--max-periods", "5"])
         assert rc == 0
@@ -534,15 +556,17 @@ class TestCli:
         assert "MISMATCH" not in out
         assert "verified" in out
 
-    def test_dump_trace(self, config_file, tmp_path):
+    def test_dump_trace(self, config_file, tmp_path, capsys):
         out = tmp_path / "trace.csv"
-        rc = cli_main(
-            ["dump-trace", str(config_file), "--load", "0.2", "--horizon", "200", "--out", str(out)]
-        )
+        argv = ["dump-trace", str(config_file), "--load", "0.2", "--horizon", "200"]
+        rc = cli_main(argv + ["--out", str(out)])
         assert rc == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "user_id,degree,replica_index,start_time"
         assert len(lines) > 1
+        capsys.readouterr()
+        assert cli_main(argv) == 0  # without --out the dump goes to stdout
+        assert capsys.readouterr().out == out.read_text()
 
     def test_simulate_outcome_dump(self, config_file, tmp_path):
         out = tmp_path / "outcomes.csv"
@@ -609,6 +633,7 @@ class TestInputGuards:
             ("seed = 99", "seed = one"),
             ("snr_db = 6.0", "snr_db = abc"),
             ("snr_db = 6.0", "snr_db = 1e308"),
+            ("max_lost_events = 1000000", "max_lost_events = 0"),
         ],
     )
     def test_bad_scalar_values(self, config_file, tmp_path, old, new, capsys):
@@ -644,8 +669,16 @@ class TestInputGuards:
 
     @pytest.mark.parametrize(
         "text",
-        ["d22-m2 0,x 2 1\n", "d22-m2 0,2 2\n", "d11-m2 2 2 1\n", "# no patterns\n"],
-        ids=["bad-integer", "field-count", "degree-1", "empty"],
+        [
+            "d22-m2 0,x 2 1\n",
+            "d22-m2 0,2 2\n",
+            "d11-m2 2 2 1\n",
+            "# no patterns\n",
+            "d22-m2 0,2,-1 2 1\n",
+            "none-m2 0,0 2 1\n",
+            "d22-m0 0,2 0 1\n",
+        ],
+        ids=["bad-integer", "field-count", "degree-1", "empty", "negative-count", "no-users", "no-sets"],
     )
     @pytest.mark.parametrize("command", ["predict", "sweep"])
     def test_malformed_catalog_exit_code(self, config_file, tmp_path, text, command, no_pool, no_batches, capsys):

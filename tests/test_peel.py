@@ -11,18 +11,12 @@ import numpy as np
 import pytest
 
 from irasim import _kernels, receiver
-from irasim.model import DegreeDistribution, SystemConfig
+from irasim.channel import symbol_mi
+from irasim.model import SystemConfig
 from irasim.receiver import _geometry, peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import generate_trace
 
-from conftest import manual_trace
-
-MIXES = (
-    DegreeDistribution.regular(2),
-    DegreeDistribution.regular(3),
-    DegreeDistribution.from_pairs([(2, 0.263), (3, 0.344), (5, 0.393)]),
-    DegreeDistribution.from_pairs([(2, 0.51), (4, 0.49)]),
-)
+from conftest import MIXES, manual_trace
 
 
 def sweep_alone(trace, cfg):
@@ -44,10 +38,6 @@ def resolved_share(trace, cfg):
     return 0.0 if peeled is None else float(np.mean(~peeled[0]))
 
 
-def mi_level(snr, k):
-    return math.log2(1.0 + snr / (1.0 + k * snr))
-
-
 def random_system(k, rng):
     vf = float(rng.uniform(10.0, 200.0))
     min_span = 1.0 + 1.0 / vf
@@ -56,9 +46,9 @@ def random_system(k, rng):
     snr_db = float(rng.uniform(3.0, 10.0))
     snr = 10.0 ** (snr_db / 10.0)
     if k % 6 == 0:  # every single overlap decodes
-        rate = float(rng.uniform(0.1, mi_level(snr, 1)))
+        rate = float(rng.uniform(0.1, symbol_mi(snr, 1)))
     elif k % 6 == 1:  # nothing ever decodes
-        rate = float(rng.uniform(mi_level(snr, 0) * 1.001, mi_level(snr, 0) + 1.0))
+        rate = float(rng.uniform(symbol_mi(snr, 0) * 1.001, symbol_mi(snr, 0) + 1.0))
     else:
         rate = float(rng.uniform(0.5, 3.0))
     return SystemConfig.from_db(snr_db, rate, vf, window_span=span, window_step=step)
