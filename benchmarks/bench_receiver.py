@@ -25,7 +25,7 @@ import numpy as np
 
 from irasim import _kernels
 from irasim.model import DegreeDistribution, SystemConfig
-from irasim.receiver import _geometry, peel, run_sic_kernel, sweep_inputs
+from irasim.receiver import peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import generate_trace
 
 
@@ -80,7 +80,7 @@ def main():
         n = trace.n_users
         kernel_args = sweep_inputs(trace, cfg)
         n_steps = kernel_args.n_steps
-        peeled = peel(_geometry(trace, cfg))
+        peeled = peel(kernel_args)
         share = 0.0 if peeled is None else float(np.mean(~peeled[0]))
         print(f"load {load:g}: {n} users, {trace.n_replicas} replicas, "
               f"pre-pass resolved {share:.1%}")

@@ -85,7 +85,7 @@ make ``m_k`` non-increasing), ``N`` the last index of ``mi_table`` (d) and
   most ``2N + 1`` segments, ``avg_mi < rate`` whenever ``margin`` exceeds
   ``err = 2(e + u) + (e*m_1 + 8u*((2N + 1)*m_0 + rate)) / (m_0 - m_1)``.
 
-``receiver._geometry`` switches the test off (``rad = 0``) unless
+``receiver.sweep_inputs`` switches the test off (``rad = 0``) unless
 ``margin > 2 * err``, and when ``phi = 0``. At 6 dB and rate 1.5 on the
 benchmark's traces (``S`` about 4e4) ``err`` is about 2e-11 against a
 margin of 4.4e-10; the test stays on up to ``S`` about 5e5, and near ``S =

@@ -226,7 +226,6 @@ def pattern_term(pattern: CollisionPattern, n_v: int, dist: DegreeDistribution):
     ways to pick the users out of ``m`` (0 when ``m`` is too small) by the
     ways to place them, over all placements.
     """
-    _check_distinct_periods(pattern)
     nu = pattern.num_users
     nu_factorial = math.factorial(nu)
     weights = [dist.prob(l) ** cnt / math.factorial(cnt) for l, cnt in enumerate(pattern.profile, start=1) if cnt]
@@ -255,17 +254,6 @@ def _check_distinct_periods(pattern: CollisionPattern) -> None:
         )
 
 
-def prob_user_in_pattern(
-    m: int,
-    pattern: CollisionPattern,
-    n_v: int,
-    dist: DegreeDistribution,
-    diagnostics: dict | None = None,
-) -> float:
-    """Probability that a tagged user (one of ``m``) is caught in ``pattern``."""
-    return pattern_term(pattern, n_v, dist)(m, diagnostics)
-
-
 def _clamp(pr: float, diagnostics: dict | None) -> float:
     """Cap one per-pattern term at 1, counting each cap in ``clamped_terms``;
     every factor of a term is non-negative, so no lower cap is needed."""
@@ -274,38 +262,6 @@ def _clamp(pr: float, diagnostics: dict | None) -> float:
             diagnostics["clamped_terms"] = diagnostics.get("clamped_terms", 0) + 1
         return 1.0
     return pr
-
-
-def pattern_feasible(pattern: CollisionPattern, dist: DegreeDistribution, n_v: int) -> bool:
-    """A pattern contributes only if every needed degree has mass and its
-    replica-collision sets fit the available vulnerable periods."""
-    if pattern.num_sets > n_v:
-        return False
-    for l, cnt in enumerate(pattern.profile, start=1):
-        if cnt and dist.prob(l) <= 0.0:
-            return False
-    return True
-
-
-def _floor_setup(
-    cfg: SystemConfig,
-    dist: DegreeDistribution,
-    catalog: tuple[CollisionPattern, ...] | None,
-    diagnostics: dict | None,
-) -> tuple[int, list[CollisionPattern]]:
-    """``n_v`` and the patterns of ``catalog`` (default: builtin) feasible for
-    ``dist``. With ``phi = 0`` no floor exists: ``n_v`` is 0 and no pattern fits."""
-    if catalog is None:
-        catalog = builtin_catalog()
-    if not catalog:
-        raise FloorError("pattern catalog is empty")
-    params = floor_params(cfg)
-    feasible = [s for s in catalog if pattern_feasible(s, dist, params.n_v)]
-    if diagnostics is not None:
-        diagnostics["phi"] = params.phi
-        diagnostics["n_v"] = params.n_v
-        diagnostics["patterns"] = [s.name for s in feasible]
-    return params.n_v, feasible
 
 
 def _poisson_log_pmf(m: int, lam: float) -> float:
@@ -348,6 +304,52 @@ def _mix_over_poisson(lam: float, per_m, diagnostics: dict | None) -> float:
     return total
 
 
+def _floor_sum(
+    load: float,
+    cfg: SystemConfig,
+    dist: DegreeDistribution,
+    catalog: tuple[CollisionPattern, ...] | None,
+    term,
+    diagnostics: dict | None,
+) -> float:
+    """The floor core: ``term(s, n_v)(m, diagnostics)``, the probability that
+    a tagged user, one of ``m``, is caught in pattern ``s``, summed over the
+    patterns of ``catalog`` (default: builtin) feasible for ``dist`` and
+    mixed over the Poisson number ``m`` of users per virtual-frame span.
+
+    A pattern is feasible when every degree of its profile has mass and its
+    replica-collision sets fit the ``n_v`` vulnerable periods; a feasible
+    pattern whose user needs more distinct periods than the pattern occupies
+    is rejected. With ``phi = 0`` no floor exists: ``n_v`` is 0, no pattern
+    fits and the floor is 0.
+    """
+    if catalog is None:
+        catalog = builtin_catalog()
+    if not catalog:
+        raise FloorError("pattern catalog is empty")
+    params = floor_params(cfg)
+    n_v = params.n_v
+    feasible = [
+        s for s in catalog
+        if s.num_sets <= n_v and all(dist.prob(l) > 0.0 for l, cnt in enumerate(s.profile, start=1) if cnt)
+    ]
+    if diagnostics is not None:
+        diagnostics["phi"] = params.phi
+        diagnostics["n_v"] = n_v
+        diagnostics["patterns"] = [s.name for s in feasible]
+    if not feasible:
+        return 0.0
+    terms = []
+    for s in feasible:
+        _check_distinct_periods(s)
+        terms.append(term(s, n_v))
+
+    def per_m(m: int) -> float:
+        return sum(at(m, diagnostics) for at in terms)
+
+    return _mix_over_poisson(cfg.vf_span * load, per_m, diagnostics)
+
+
 def plr_floor(
     load: float,
     cfg: SystemConfig,
@@ -360,19 +362,10 @@ def plr_floor(
 
     Sums, over the feasible catalog patterns and the Poisson-distributed
     number of users per virtual-frame span, the probability that a tagged
-    user belongs to an unresolvable pattern. Returns 0 when one interferer
-    can never kill a packet (``phi = 0``).
+    user belongs to an unresolvable pattern (:func:`pattern_term`). Returns 0
+    when one interferer can never kill a packet (``phi = 0``).
     """
-    n_v, feasible = _floor_setup(cfg, dist, catalog, diagnostics)
-    if not feasible:
-        return 0.0
-    lam = cfg.vf_span * load
-    terms = [pattern_term(s, n_v, dist) for s in feasible]
-
-    def per_m(m: int) -> float:
-        return sum(at(m, diagnostics) for at in terms)
-
-    return _mix_over_poisson(lam, per_m, diagnostics)
+    return _floor_sum(load, cfg, dist, catalog, lambda s, n_v: pattern_term(s, n_v, dist), diagnostics)
 
 
 def plr_regular(
@@ -389,22 +382,13 @@ def plr_regular(
     The user-selection and placement counts collapse to pure binomials, and
     every per-term probability becomes an exact integer ratio.
     """
-    n_v, feasible = _floor_setup(cfg, DegreeDistribution.regular(degree), catalog, diagnostics)
-    if not feasible:
-        return 0.0
-    lam = cfg.vf_span * load
-    placements = n_v * math.comb(n_v - 1, degree - 1)
 
-    def per_m(m: int) -> float:
-        acc = 0.0
-        for s in feasible:
-            nu = s.num_users
-            num = nu * math.comb(m, nu) * math.comb(n_v - 1, s.num_sets - 1) * s.iso_count * n_v
-            den = m * placements**nu
-            acc += _clamp(num / den, diagnostics)
-        return acc
+    def term(s: CollisionPattern, n_v: int):
+        nu, placements = s.num_users, n_v * math.comb(n_v - 1, degree - 1)
+        num = math.comb(n_v - 1, s.num_sets - 1) * s.iso_count * n_v
+        return lambda m, d: _clamp(nu * math.comb(m, nu) * num / (m * placements**nu), d)
 
-    return _mix_over_poisson(lam, per_m, diagnostics)
+    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), catalog, term, diagnostics)
 
 
 def plr_two_user(
@@ -420,17 +404,13 @@ def plr_two_user(
     For ``degree = 2`` this sum has the closed form
     ``(n_p G - 1 + exp(-n_p G)) / (n_v (n_v - 1))``.
     """
+
+    def term(s: CollisionPattern, n_v: int):
+        den_base = n_v * math.comb(n_v - 1, degree - 1)
+        return lambda m, d: _clamp((2 * math.comb(m, 2)) / (m * den_base), d)
+
     pair = (two_user_pattern(degree),)
-    n_v, feasible = _floor_setup(cfg, DegreeDistribution.regular(degree), pair, diagnostics)
-    if not feasible:
-        return 0.0
-    lam = cfg.vf_span * load
-    den_base = n_v * math.comb(n_v - 1, degree - 1)
-
-    def per_m(m: int) -> float:
-        return _clamp((2 * math.comb(m, 2)) / (m * den_base), diagnostics)
-
-    return _mix_over_poisson(lam, per_m, diagnostics)
+    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), pair, term, diagnostics)
 
 
 # -- brute-force validation of the configuration counts ----------------------

@@ -20,9 +20,9 @@ whose collision component has at most one other replica within one packet
 of each replica (:func:`peel`, which also states why its outcome equals the
 sweep's bit for bit). Only the remaining users go through the window sweep
 of :mod:`irasim._kernels`. At low load, the error-floor region, the pre-pass
-resolves most users. Each swept replica also gets the count of replicas
-starting within the fatal radius of it (:func:`with_fatal_counts`), so the
-sweep skips every MI evaluation that one active interferer already decides.
+resolves most users. Each replica also gets the count of replicas starting
+within the fatal radius of it (:func:`sweep_inputs`), so the sweep skips
+every MI evaluation that one active interferer already decides.
 """
 
 from __future__ import annotations
@@ -143,9 +143,6 @@ def run_receiver(
     Returns sorted arrays ``(decoded_ids, lost_ids)``. ``engine`` selects the
     array kernel (default) or the step-by-step ``"reference"`` path.
     """
-    if trace.n_users == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
     if engine == "reference":
         return _run_reference(trace, cfg)
     if engine != "kernel":
@@ -195,18 +192,13 @@ class SweepInputs(NamedTuple):
     nb_lo: np.ndarray  # replicas nb_lo[i]:nb_hi[i] start strictly less than
     nb_hi: np.ndarray  # one packet away from replica i (one packet away only touches)
     rad: float  # fatal radius, 0.0 with the fatal pre-test off
-    n_fatal: np.ndarray | None = None  # per replica, the others starting strictly within rad
+    n_fatal: np.ndarray  # per replica, the others starting strictly within rad
 
 
 def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
-    """The sweep's arguments for one non-empty trace, fatal counts included
-    (see :func:`with_fatal_counts`)."""
-    return with_fatal_counts(_geometry(trace, cfg))
-
-
-def _geometry(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
-    """The trace's replicas, the receiver's step grid, the MI levels and the
-    fatal radius: everything but the fatal counts."""
+    """The sweep's arguments for one non-empty trace: its replicas, the
+    receiver's step grid, the MI levels, the fatal radius and the fatal
+    counts."""
     rep_start, rep_owner, pos = _sorted_replicas(trace)
     vf_end = np.ascontiguousarray(trace.arrival + cfg.vf_span)
     w0 = float(trace.arrival[0]) - cfg.window_length
@@ -214,7 +206,17 @@ def _geometry(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
     # counts and their copy; on dense traces that sets the peak memory
     nb_lo = np.searchsorted(rep_start, rep_start - 1.0, side="right").astype(np.int32)
     nb_hi = np.searchsorted(rep_start, rep_start + 1.0, side="left").astype(np.int32)
-    mi_table = np.array([symbol_mi(cfg.snr_linear, k) for k in range(int((nb_hi - nb_lo).max()) + 1)])
+    span = nb_hi - nb_lo  # the replica itself included
+    mi_table = np.array([symbol_mi(cfg.snr_linear, k) for k in range(int(span.max()) + 1)])
+    rad = _fatal_radius(rep_start, mi_table, clean_fraction(cfg.snr_linear, cfg.rate), cfg.rate)
+    n_fatal = np.zeros(rep_start.shape[0], dtype=np.int32)
+    if rad > 0.0:
+        # a replica within rad lies in the neighbour range, so one alone there keeps 0
+        for a in range(0, rep_start.shape[0], _COUNT_BLOCK):
+            i = a + np.flatnonzero(span[a:a + _COUNT_BLOCK] > 1)
+            s = rep_start[i]
+            # the replica itself is in its range
+            n_fatal[i] = rep_start.searchsorted(s + rad, "left") - rep_start.searchsorted(s - rad, "right") - 1
     return SweepInputs(
         rep_start=rep_start,
         rep_owner=rep_owner,
@@ -229,7 +231,8 @@ def _geometry(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
         rate=cfg.rate,
         nb_lo=nb_lo,
         nb_hi=nb_hi,
-        rad=_fatal_radius(rep_start, mi_table, clean_fraction(cfg.snr_linear, cfg.rate), cfg.rate),
+        rad=rad,
+        n_fatal=n_fatal,
     )
 
 
@@ -255,20 +258,6 @@ def _fatal_radius(rep_start, mi_table, phi: float, rate: float) -> float:
     return phi - margin if 2.0 * err < margin else 0.0
 
 
-def with_fatal_counts(geom: SweepInputs) -> SweepInputs:
-    """``geom`` with the fatal counts for its radius ``geom.rad``."""
-    rep_start, rad = geom.rep_start, geom.rad
-    n_fatal = np.zeros(rep_start.shape[0], dtype=np.int32)
-    if rad > 0.0:
-        for a in range(0, rep_start.shape[0], _COUNT_BLOCK):
-            s = rep_start[a:a + _COUNT_BLOCK]
-            hi = rep_start.searchsorted(s + rad, "left")
-            hi -= rep_start.searchsorted(s - rad, "right")
-            # the replica itself is in its range
-            np.subtract(hi, 1, out=n_fatal[a:a + _COUNT_BLOCK], casting="unsafe")
-    return geom._replace(n_fatal=n_fatal)
-
-
 #: Rounds after which the taint spread or the decode-step iteration of
 #: :func:`peel` gives up and leaves the whole trace to the sweep. Giving up
 #: is exact, only slower.
@@ -291,7 +280,7 @@ _MAX_PEEL_STEPS = 10**6
 def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Classify, in closed form, the users of sparse collision components.
 
-    ``geom`` is the :func:`_geometry` of a trace. A replica is *simple*
+    ``geom`` is the :func:`sweep_inputs` of a trace. A replica is *simple*
     when at most one other replica, its *partner*, starts within one packet
     of it. A user owning a non-simple replica is *tainted*, and taint spreads
     over partner pairs until no untainted replica has a tainted partner. For
@@ -429,10 +418,11 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
 
 
 def _restrict(geom: SweepInputs, keep: np.ndarray) -> SweepInputs:
-    """The :func:`_geometry` of the users in mask ``keep`` alone, with the
+    """The :func:`sweep_inputs` of the users in mask ``keep`` alone, with the
     whole trace's step grid, MI levels and radius. No replica of a kept user
     may have a dropped one in its neighbour range, so the kept ranges map
-    onto the kept replicas."""
+    onto the kept replicas, and the kept fatal counts, whose replicas lie in
+    those ranges, stay exact."""
     keep_rep = keep[geom.rep_owner]
     rank = np.zeros(keep_rep.shape[0] + 1, dtype=np.int64)  # kept replicas before each index
     np.cumsum(keep_rep, out=rank[1:])
@@ -447,12 +437,13 @@ def _restrict(geom: SweepInputs, keep: np.ndarray) -> SweepInputs:
         vf_end=geom.vf_end[keep],
         nb_lo=rank[geom.nb_lo[keep_rep]],
         nb_hi=rank[geom.nb_hi[keep_rep]],
+        n_fatal=geom.n_fatal[keep_rep],
     )
 
 
 def _sweep(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray]:
     """The sweep, fatal pre-test included, on the users of ``geom``."""
-    decoded, decided_w, n_done, _ = _kernels.sic_sweep(*with_fatal_counts(geom))
+    decoded, decided_w, n_done, _ = _kernels.sic_sweep(*geom)
     n_users = geom.vf_end.shape[0]
     if n_done != n_users:
         raise RuntimeError(f"receiver sweep classified {n_done} of {n_users} users")
@@ -467,7 +458,7 @@ def run_sic_kernel(trace: TrafficTrace, cfg: SystemConfig) -> tuple[np.ndarray, 
     """
     if trace.n_users == 0:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.float64)
-    geom = _geometry(trace, cfg)
+    geom = sweep_inputs(trace, cfg)
     peeled = peel(geom)
     if peeled is None:
         return _sweep(geom)

@@ -15,10 +15,6 @@ import numpy as np
 from .model import DegreeDistribution, ModelError, SystemConfig, validate_config
 
 
-class PlacementInfeasible(ModelError):
-    pass
-
-
 class HorizonTooShort(ModelError):
     pass
 
@@ -49,12 +45,10 @@ def _relative_offsets(
     Sorted uniforms on the slack ``vf_span - degree`` plus one packet of gap
     per replica: exactly the uniform law over the starts in ``[0, vf_span -
     1]`` that lie pairwise, the arrival's included, at least one packet
-    apart, also when the slack is 0.
+    apart, also when the slack is 0. ``validate_config`` keeps the slack
+    non-negative.
     """
-    slack = cfg.vf_span - degree
-    if slack < 0:
-        raise PlacementInfeasible(f"{degree} replicas cannot fit a virtual frame of {cfg.vf_span}")
-    y = np.sort(rng.uniform(0.0, slack, size=(count, degree - 1)), axis=1)
+    y = np.sort(rng.uniform(0.0, cfg.vf_span - degree, size=(count, degree - 1)), axis=1)
     return y + np.arange(1, degree)
 
 

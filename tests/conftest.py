@@ -6,7 +6,9 @@ from irasim.traffic import TrafficTrace
 
 
 #: Degree mixes the differential receiver tests cycle through: the two
-#: regular ones, then those of `dist_lambda1` and `dist_lambda2` below.
+#: regular ones and the two irregular ones. The `dist_*` fixtures below return
+#: these entries, and tests/test_kernel_digests.py names them x2, x3, lambda1
+#: and lambda2.
 MIXES = (
     DegreeDistribution.regular(2),
     DegreeDistribution.regular(3),
@@ -32,22 +34,22 @@ def cfg_tf100_r15():
 
 @pytest.fixture(scope="session")
 def dist_x2():
-    return DegreeDistribution.regular(2)
+    return MIXES[0]
 
 
 @pytest.fixture(scope="session")
 def dist_x3():
-    return DegreeDistribution.regular(3)
+    return MIXES[1]
 
 
 @pytest.fixture(scope="session")
 def dist_lambda1():
-    return DegreeDistribution.from_pairs([(2, 0.263), (3, 0.344), (5, 0.393)])
+    return MIXES[2]
 
 
 @pytest.fixture(scope="session")
 def dist_lambda2():
-    return DegreeDistribution.from_pairs([(2, 0.51), (4, 0.49)])
+    return MIXES[3]
 
 
 def manual_trace(cfg: SystemConfig, users) -> TrafficTrace:

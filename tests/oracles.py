@@ -14,13 +14,7 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 
-from irasim.errorfloor import (
-    _clamp,
-    _floor_setup,
-    _mix_over_poisson,
-    edge_assignment_count,
-    period_choice_count,
-)
+from irasim.errorfloor import _clamp, _floor_sum, edge_assignment_count, period_choice_count
 
 TABLE_ROWS = [
     ((0, 2, 0, 0), 2, 1),
@@ -109,16 +103,12 @@ def prob_user_in_pattern_per_m(m, pattern, n_v, dist, diagnostics=None):
 
 def plr_floor_per_m(load, cfg, dist, catalog=None, *, diagnostics=None):
     """``plr_floor`` with :func:`prob_user_in_pattern_per_m` as the per-pattern
-    term: the same set-up and Poisson mixture, so values and diagnostics
-    compare with ``==``."""
-    n_v, feasible = _floor_setup(cfg, dist, catalog, diagnostics)
-    if not feasible:
-        return 0.0
+    term: the same floor core, so values and diagnostics compare with ``==``."""
 
-    def per_m(m):
-        return sum(prob_user_in_pattern_per_m(m, s, n_v, dist, diagnostics) for s in feasible)
+    def term(s, n_v):
+        return lambda m, d: prob_user_in_pattern_per_m(m, s, n_v, dist, d)
 
-    return _mix_over_poisson(cfg.vf_span * load, per_m, diagnostics)
+    return _floor_sum(load, cfg, dist, catalog, term, diagnostics)
 
 
 def two_user_closed_form(load, vf_span, n_v):

@@ -20,10 +20,10 @@ from irasim.errorfloor import (
     floor_params,
     load_catalog,
     period_choice_count,
+    pattern_term,
     plr_floor,
     plr_regular,
     plr_two_user,
-    prob_user_in_pattern,
     two_user_pattern,
     vp_count,
     vulnerable_fraction,
@@ -123,23 +123,23 @@ class TestCombinatorialTerms:
 class TestProbUserInPattern:
     def test_two_user_pair(self, dist_x2):
         s1 = builtin_catalog()[0]
-        got = prob_user_in_pattern(2, s1, 225, dist_x2)
+        got = pattern_term(s1, 225, dist_x2)(2)
         assert got == pytest.approx(1.0 / (225 * 224), rel=1e-12)
 
     def test_too_few_users(self, dist_x2):
         s3 = builtin_catalog()[2]
-        assert prob_user_in_pattern(2, s3, 225, dist_x2) == 0.0
+        assert pattern_term(s3, 225, dist_x2)(2) == 0.0
 
     def test_missing_degree(self, dist_x2):
         s2 = builtin_catalog()[1]  # needs degree-3 users
-        assert prob_user_in_pattern(5, s2, 225, dist_x2) == 0.0
+        assert pattern_term(s2, 225, dist_x2)(5) == 0.0
 
     def test_stays_in_unit_interval(self, dist_lambda1, dist_lambda2):
         for dist in (dist_lambda1, dist_lambda2):
             for n_v in (112, 127, 225):
                 for s in builtin_catalog():
                     for m in range(2, 51):
-                        pr = prob_user_in_pattern(m, s, n_v, dist)
+                        pr = pattern_term(s, n_v, dist)(m)
                         assert 0.0 <= pr <= 1.0
 
     def test_equals_per_m_oracle(self, dist_x2, dist_lambda1, dist_lambda2):
@@ -151,19 +151,23 @@ class TestProbUserInPattern:
                 for s in builtin_catalog() + extra:
                     for m in range(2, 40):
                         d_new, d_old = {}, {}
-                        got = prob_user_in_pattern(m, s, n_v, dist, d_new)
+                        got = pattern_term(s, n_v, dist)(m, d_new)
                         assert got == prob_user_in_pattern_per_m(m, s, n_v, dist, d_old)
                         assert d_new == d_old
         assert d_new == {}  # nothing clamped at n_v = 225
-        assert prob_user_in_pattern(4, builtin_catalog()[0], 2, dist_x2, d_new) == 1.0
+        assert pattern_term(builtin_catalog()[0], 2, dist_x2)(4, d_new) == 1.0
         assert d_new == {"clamped_terms": 1}
 
-    def test_degree_above_num_sets_rejected(self, dist_x3):
-        # two degree-3 users cannot share two periods: each needs three
-        pair = CollisionPattern("x", (0, 0, 2), 2, 1)
-        for n_v in (2, 225):
+    def test_degree_above_num_sets_rejected(self, cfg_tf200_r15, dist_x3):
+        # two degree-3 users cannot share two periods: each needs three; all
+        # floor forms reject the pattern (plr_regular once summed it)
+        pair = (CollisionPattern("x", (0, 0, 2), 2, 1),)
+        for cfg, n_v in ((SystemConfig.from_db(6.0, 2.0, 4.0), 2), (cfg_tf200_r15, 225)):
+            assert floor_params(cfg).n_v == n_v
             with pytest.raises(InfeasiblePattern, match="3 distinct periods"):
-                prob_user_in_pattern(5, pair, n_v, dist_x3)
+                plr_floor(0.1, cfg, dist_x3, pair)
+            with pytest.raises(InfeasiblePattern, match="3 distinct periods"):
+                plr_regular(0.1, cfg, 3, pair)
 
 
 class TestPlrFloor:

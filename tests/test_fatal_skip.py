@@ -16,7 +16,7 @@ import pytest
 from irasim import _kernels
 from irasim.channel import clean_fraction, symbol_mi
 from irasim.model import SystemConfig
-from irasim.receiver import _geometry, _restrict, peel, run_sic_kernel, sweep_inputs, with_fatal_counts
+from irasim.receiver import _restrict, peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import TrafficTrace, generate_trace
 
 from conftest import MIXES, manual_trace
@@ -164,21 +164,32 @@ def test_decrement_uses_the_counting_expressions():
 
 
 def test_restricted_inputs_keep_valid_counts():
+    # the sliced counts equal those counted afresh on the restricted replicas
     cfg = SystemConfig.from_db(6.0, 1.5, 50.0)
     split = 0
     for seed in range(12):
         trace = generate_trace(cfg, MIXES[seed % 4], 0.1, 3000.0, np.random.default_rng(seed))
-        geom = _geometry(trace, cfg)
-        peeled = peel(geom)
+        full = sweep_inputs(trace, cfg)
+        peeled = peel(full)
         if peeled is None:
             continue
-        rest = peeled[0]
-        full = sweep_inputs(trace, cfg)
-        restricted = with_fatal_counts(_restrict(geom, rest))
+        restricted = _restrict(full, peeled[0])
         assert restricted.rad == full.rad > 0.0
-        assert np.array_equal(restricted.n_fatal, full.n_fatal[rest[full.rep_owner]])
-        split += 1
+        assert restricted.n_fatal.dtype == np.int32
+        assert restricted.n_fatal.tolist() == brute_fatal_counts(restricted.rep_start, restricted.rad).tolist()
+        split += restricted.n_fatal.any()
     assert split >= 6
+
+
+def test_counts_on_a_sparse_trace():
+    # most replicas are alone in their neighbour range and are not searched
+    cfg = SystemConfig.from_db(6.0, 1.5, 50.0)
+    trace = generate_trace(cfg, MIXES[2], 0.05, 4000.0, np.random.default_rng(3))
+    args = sweep_inputs(trace, cfg)
+    alone = args.nb_hi - args.nb_lo == 1
+    assert args.rad > 0.0 and np.mean(alone) > 0.5
+    assert args.n_fatal.tolist() == brute_fatal_counts(args.rep_start, args.rad).tolist()
+    assert args.n_fatal.any() and not args.n_fatal[alone].any()
 
 
 @pytest.mark.parametrize("rate", [0.5, 1.5, 2.0, 2.5])

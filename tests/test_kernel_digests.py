@@ -24,9 +24,11 @@ import numpy as np
 
 from irasim import _kernels
 from irasim.harness import parse_config_file
-from irasim.model import DegreeDistribution, SystemConfig
+from irasim.model import SystemConfig
 from irasim.receiver import run_sic_kernel, sweep_inputs
 from irasim.traffic import generate_trace
+
+from conftest import MIXES as MIX_LIST
 
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "sweep_digests.json"
@@ -35,12 +37,7 @@ CONFIGS = HERE.parent / "configs"
 LOADS = (0.05, 0.3, 0.75, 1.5)
 SEEDS = (11, 12, 13)
 HORIZON = 800.0
-MIXES = {
-    "x2": DegreeDistribution.regular(2),
-    "x3": DegreeDistribution.regular(3),
-    "lambda1": DegreeDistribution.from_pairs([(2, 0.263), (3, 0.344), (5, 0.393)]),
-    "lambda2": DegreeDistribution.from_pairs([(2, 0.51), (4, 0.49)]),
-}
+MIXES = dict(zip(("x2", "x3", "lambda1", "lambda2"), MIX_LIST))
 
 
 def systems() -> dict[str, SystemConfig]:

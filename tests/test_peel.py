@@ -13,7 +13,7 @@ import pytest
 from irasim import _kernels, receiver
 from irasim.channel import symbol_mi
 from irasim.model import SystemConfig
-from irasim.receiver import _geometry, peel, run_sic_kernel, sweep_inputs
+from irasim.receiver import peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import generate_trace
 
 from conftest import MIXES, manual_trace
@@ -34,7 +34,7 @@ def assert_same_as_sweep(trace, cfg):
 
 
 def resolved_share(trace, cfg):
-    peeled = peel(_geometry(trace, cfg))
+    peeled = peel(sweep_inputs(trace, cfg))
     return 0.0 if peeled is None else float(np.mean(~peeled[0]))
 
 
@@ -164,7 +164,7 @@ def test_isolated_trace_is_resolved_by_the_pre_pass(cfg200):
 
 def test_dense_trace_is_left_to_the_sweep(cfg200):
     trace = generate_trace(cfg200, MIXES[1], 2.0, 2000.0, np.random.default_rng(3))
-    assert peel(_geometry(trace, cfg200)) is None
+    assert peel(sweep_inputs(trace, cfg200)) is None
     assert_same_as_sweep(trace, cfg200)
 
 
@@ -173,7 +173,7 @@ def test_long_step_grid_is_left_to_the_sweep(monkeypatch):
     # peel stands aside, and with the cap lifted its grid gives the same outcome
     cfg = SystemConfig.from_db(6.0, 1.5, 50.0, window_step=1e-5)
     trace = generate_trace(cfg, MIXES[0], 0.05, 1000.0, np.random.default_rng(4))
-    n_steps = _geometry(trace, cfg).n_steps
+    n_steps = sweep_inputs(trace, cfg).n_steps
     assert n_steps > receiver._MAX_PEEL_STEPS
     assert resolved_share(trace, cfg) == 0.0
     assert_same_as_sweep(trace, cfg)

@@ -80,8 +80,11 @@ def test_single_user_always_decoded(cfg200):
 def test_empty_trace(cfg200, dist_x2):
     rng = np.random.default_rng(0)
     trace = generate_trace(cfg200, dist_x2, 1e-9, 1000.0, rng)
-    decoded, lost = run_receiver(trace, cfg200)
-    assert decoded.size == 0 and lost.size == 0
+    assert trace.n_users == 0
+    for engine in ("kernel", "reference"):
+        decoded, lost = run_receiver(trace, cfg200, engine=engine)
+        assert decoded.size == lost.size == 0
+        assert decoded.dtype == lost.dtype == np.int64
 
 
 def test_conservation_and_engine_equality(dist_lambda1, dist_lambda2):

@@ -9,14 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from irasim.model import DegreeDistribution, SystemConfig
-from irasim.traffic import (
-    HorizonTooShort,
-    PlacementInfeasible,
-    _relative_offsets,
-    generate_trace,
-    sample_degrees,
-)
+from irasim.model import DegreeDistribution, DegreeTooLargeForVF, ModelError, SystemConfig
+from irasim.traffic import HorizonTooShort, _relative_offsets, generate_trace, sample_degrees
 
 from oracles import place_replicas_rejection
 
@@ -70,9 +64,11 @@ class TestPlacement:
         assert rel.tolist() == [[1.0]] * 3
 
     def test_infeasible_degree_raises(self):
+        # the config check, not the placement, rejects a degree above the frame
         cfg = SystemConfig(snr_linear=4.0, rate=1.5, vf_span=2.0)
-        with pytest.raises(PlacementInfeasible):
-            _relative_offsets(3, 1, cfg, np.random.default_rng(7))
+        with pytest.raises(DegreeTooLargeForVF) as info:
+            generate_trace(cfg, DegreeDistribution.regular(3), 0.1, 100.0, np.random.default_rng(7))
+        assert isinstance(info.value, ModelError)
 
     def test_law_matches_rejection_oracle(self):
         # the spacing construction must realise the same distribution as
