@@ -12,7 +12,7 @@ identically, and so must the compiled and plain builds of the sweep (see
 irasim._kernels).
 
 A last row times the active sweep on an irr1 trace (degrees 2/3/5) at
-G=0.75 with and without its fatal pre-test (``rad = 0`` and zero counts),
+G=0.75 with and without its fatal pre-test (``rad = 0`` and empty ranges),
 on the same trace, and asserts that both classify every user identically.
 
 Usage: python benchmarks/bench_receiver.py [--users 20000] [--loads 0.05 0.1 0.3]
@@ -105,9 +105,10 @@ def main():
     irr1 = DegreeDistribution.from_pairs([(2, 0.263), (3, 0.344), (5, 0.393)])
     trace = generate_trace(cfg, irr1, load, args.users / load, np.random.default_rng(1))
     with_test = sweep_inputs(trace, cfg)
-    without = with_test._replace(rad=0.0, n_fatal=np.zeros_like(with_test.n_fatal))
+    empty = np.zeros_like(with_test.f_lo)
+    without = with_test._replace(rad=0.0, f_lo=empty, f_hi=empty)
     print(f"irr1 load {load:g}: {trace.n_users} users, {trace.n_replicas} replicas, "
-          f"{np.mean(with_test.n_fatal > 0):.1%} start with a fatal neighbour")
+          f"{np.mean(with_test.f_hi - with_test.f_lo > 1):.1%} have a fatal neighbour")
     t_on, on = best_of(args.repeat, lambda: _kernels.sic_sweep(*with_test))
     line("sweep, fatal pre-test", t_on, trace.n_users, on[3], with_test.n_steps)
     t_off, off = best_of(args.repeat, lambda: _kernels.sic_sweep(*without))

@@ -11,10 +11,15 @@ exported so the benchmark under benchmarks/ can compare them directly:
 Both builds take numpy arrays; ``receiver.SweepInputs`` names every
 parameter of the sweep, in order. The caller passes, per replica, the index
 range ``[nb_lo[i], nb_hi[i])`` of the replicas starting within one packet of
-replica ``i``, so the sweep never searches for neighbours. The plain build
-accesses every array through a ``memoryview`` of its buffer, which yields
+replica ``i``, so the sweep never searches for neighbours. The compiled
+build works on numpy arrays throughout. The plain build holds the flags
+``active``, ``queued`` and ``decoded``, the ``mi_table`` and ``avg_mi``'s
+event buffers as Python lists, which index fastest, and reads and writes
+every other array through a ``memoryview`` of its buffer, which yields
 Python scalars about twice as fast as numpy indexing, with no copy and no
-change in the arithmetic; the compiled build sees the numpy arrays.
+change in the arithmetic. A list costs 8 bytes an entry, so it holds only
+flags and short arrays: as lists, the per-replica index and float arrays
+would raise the peak memory of a dense batch by more than half.
 
 The sweep visits only the steps at which something can happen. Every step
 ends with an empty candidate stack, and a step that neither expires a user
@@ -45,26 +50,39 @@ Fatal pre-test. One equal-power interferer starting less than ``phi``
 from a replica keeps the replica's average MI below the rate (``phi`` from
 ``channel.clean_fraction``), and more interferers only lower it. The caller
 passes a radius ``rad`` a little below ``phi`` and, per replica ``i``,
-the size ``n_fatal[i]`` of its fatal set ``F(i) = {j != i : s_j >
-fl(s_i - rad) and s_j < fl(s_i + rad)}`` (``s`` = ``rep_start``, ``fl`` =
-float64 rounding; two ``searchsorted`` calls). The sweep keeps, on a copy,
-``n_fatal[i]`` equal to the number of *active* replicas in ``F(i)`` for
-every replica that can still be evaluated (active, not yet behind the
-window start), and never below it. Counts fall only on decodes: when the
-owner of ``r`` decodes, the sweep decrements ``n_fatal[nb]`` for the ``nb``
-in ``r``'s neighbour range with ``s_r > s_nb - rad and s_r < s_nb + rad``
-(the same float expressions) that can still be evaluated and are not
-queued, as a queued count is already zero. Expiry needs none, as a user
-expires once ``vf_end < w``, after the last start ``vf_end - 1`` of its
-replicas, so any replica within ``rad <= 1 - margin`` of one is behind ``w``.
+the index range ``[f_lo[i], f_hi[i])`` of its fatal set ``F(i) = {j != i :
+s_j > fl(s_i - rad) and s_j < fl(s_i + rad)}`` and ``i`` itself (``s`` =
+``rep_start``, ``fl`` = float64 rounding; two ``searchsorted`` calls), or
+an empty range where no other replica starts within one packet of ``i``,
+so that ``F(i)`` is empty. The sweep keeps its own count ``n_fatal[i]`` of
+the *active* replicas in ``F(i)``, exact from the admission of ``i`` on for
+as long as ``i`` can still be evaluated (active, not yet behind the window
+start), and nothing lowers it before that admission:
+
+* It takes the count when it admits ``i`` active, by counting the active
+  replicas in ``[f_lo[i], f_hi[i])`` other than ``i``, but only where the
+  static size ``f_hi[i] - f_lo[i] - 1`` of ``F(i)`` is positive; otherwise
+  the count is 0. So the count is exact at admission, whatever decoded or
+  expired before it.
+* From then on it falls only on decodes: when the owner of ``r`` decodes,
+  the sweep decrements ``n_fatal[nb]`` for the admitted ``nb < admit`` in
+  ``r``'s neighbour range with ``s_r > s_nb - rad and s_r < s_nb + rad``
+  (the same float expressions as the searches) that can still be evaluated
+  and are not queued, as a queued count is already zero. The loop stops at
+  the admission edge, and a replica of ``r``'s owner whose whole neighbour
+  range lies beyond it costs no loop at all.
+* Expiry needs no decrement, as a user expires once ``vf_end < w``, after
+  the last start ``vf_end - 1`` of its replicas, so any replica within
+  ``rad <= 1 - margin`` of one is behind ``w``.
+
 A replica with a positive count is never pushed, neither at admission nor
 when a neighbour decodes; it is pushed once a decode brings its count to 0.
 Only evaluations that fail are dropped, and every replica is still
 evaluated after the last decode in the step that raises its MI; since
 cancelling only raises the MI, each step decodes the same set of users, so
 ``decoded`` and ``decided_w`` are bit-identical to the sweep without the
-test (``rad = 0`` with zero counts, which ``receiver`` also passes when the
-test is off; no range test holds then, so no count changes).
+test (``rad = 0`` with empty ranges, which ``receiver`` also passes when the
+test is off; no count is taken and no range test holds then).
 
 Why the test is sound in float64. Let ``u = 2**-53``, ``S`` the largest
 ``|s_i|`` plus 1, ``e = ulp(S)`` (every rounded position errs by at most
@@ -75,7 +93,7 @@ make ``m_k`` non-increasing), ``N`` the last index of ``mi_table`` (d) and
 
 * ``j`` in ``F(i)`` means ``|s_j - s_i| < rad + e/2``. As ``rad <= 1 -
   margin``, ``j`` lies in ``i``'s neighbour range and ``i`` in ``j``'s once
-  ``margin > e + u``: every count starts and is decremented exactly.
+  ``margin > e + u``: every count is taken and decremented exactly.
 * With ``j`` in ``F(i)`` active, ``avg_mi`` sees ``j`` with a positive
   overlap. On the rounded positions it uses, the clean part of ``i`` is at
   most ``|s_j - s_i| + e`` long, everything else carries at least one
@@ -104,9 +122,14 @@ def _identity(a):
     return a
 
 
-def _build_sweep(jit, view):
-    """Build the sweep with ``jit`` applied to every stage and ``view``
-    wrapping every array before element access."""
+def _as_list(a):
+    return a.tolist()  # numpy array or memoryview alike
+
+
+def _build_sweep(jit, view, hold):
+    """Build the sweep with ``jit`` applied to every stage, ``hold`` making
+    the per-element state it keeps as a list in the plain build and ``view``
+    wrapping every other array before element access."""
 
     @jit
     def avg_mi(rep_start, active, i, lo, hi, mi_table, ev_a, ev_b):
@@ -173,7 +196,8 @@ def _build_sweep(jit, view):
         nb_lo,
         nb_hi,
         rad,
-        n_fatal,
+        f_lo,
+        f_hi,
     ):
         # Slide the window over one trace and classify every user. Returns
         # (decoded, decided_w, n_classified, n_visited); decided_w[u] is the
@@ -181,29 +205,31 @@ def _build_sweep(jit, view):
         # n_visited counts the steps actually executed out of n_steps.
         n_rep = rep_start.shape[0]
         n_user = user_ptr.shape[0] - 1
+        n_events = mi_table.shape[0] - 1  # N events of invariant (d)
         rep_start = view(rep_start)
         rep_owner = view(rep_owner)
         user_ptr = view(user_ptr)
         rep_of_user = view(rep_of_user)
         vf_end = view(vf_end)
-        mi_table = view(mi_table)
+        mi_table = hold(mi_table)
         nb_lo = view(nb_lo)
         nb_hi = view(nb_hi)
-        n_fatal = view(np.copy(n_fatal))  # the inputs stay reusable
-        decoded_out = np.zeros(n_user, np.bool_)
+        f_lo = view(f_lo)
+        f_hi = view(f_hi)
+        n_fatal = view(np.zeros(n_rep, np.int32))
         decided_w_out = np.full(n_user, np.nan)
-        decoded = view(decoded_out)
         decided_w = view(decided_w_out)
-        active = view(np.ones(n_rep, np.bool_))
-        queued = view(np.zeros(n_rep, np.bool_))
-        stack = view(np.empty(n_rep, np.int64))
+        decoded = hold(np.zeros(n_user, np.bool_))
+        active = hold(np.ones(n_rep, np.bool_))
+        queued = hold(np.zeros(n_rep, np.bool_))
+        stack = view(np.empty(n_rep, np.int32))
         top = 0
         n_done = 0
         admit = 0
         trail = 0
 
-        ev_a = view(np.empty(mi_table.shape[0] - 1))  # N events of invariant (d)
-        ev_b = view(np.empty(mi_table.shape[0] - 1))
+        ev_a = hold(np.empty(n_events))
+        ev_b = hold(np.empty(n_events))
 
         step = 0
         n_visited = 0
@@ -223,17 +249,24 @@ def _build_sweep(jit, view):
                 trail += 1
 
             # replicas newly contained in the window become candidates, unless
-            # a fatal neighbour is still active
+            # a fatal neighbour is still active; their fatal counts start here
             while admit < n_rep and rep_start[admit] + 1.0 <= w_end:
-                if active[admit] and n_fatal[admit] == 0:
-                    queued[admit] = True
-                    stack[top] = admit
-                    top += 1
+                if active[admit]:
+                    lo = f_lo[admit]
+                    hi = f_hi[admit]
+                    n = 0
+                    if hi - lo > 1:
+                        n = sum(active[lo:hi]) - 1  # the replica itself
+                        n_fatal[admit] = n
+                    if n == 0:
+                        queued[admit] = True
+                        stack[top] = admit
+                        top += 1
                 admit += 1
 
             # cancel until no candidate decodes; cancelling a user re-queues
-            # the active replicas its copies overlapped that no other active
-            # replica still keeps below the rate
+            # the admitted active replicas its copies overlapped that no other
+            # active replica still keeps below the rate
             while top > 0:
                 top -= 1
                 i = stack[top]
@@ -248,16 +281,22 @@ def _build_sweep(jit, view):
                     for jj in range(user_ptr[u], user_ptr[u + 1]):
                         r = rep_of_user[jj]
                         active[r] = False
+                        lo = nb_lo[r]
+                        if lo >= admit:
+                            continue
+                        hi = nb_hi[r]
+                        if hi > admit:
+                            hi = admit
                         s_r = rep_start[r]
-                        for nb in range(nb_lo[r], nb_hi[r]):
-                            if queued[nb] or not active[nb]:
+                        for nb in range(lo, hi):
+                            if not active[nb] or queued[nb]:
                                 continue
                             s_nb = rep_start[nb]
                             if s_nb < w:
                                 continue
                             if s_r > s_nb - rad and s_r < s_nb + rad:
                                 n_fatal[nb] -= 1
-                            if n_fatal[nb] > 0 or nb >= admit:
+                            if n_fatal[nb] > 0:
                                 continue
                             queued[nb] = True
                             stack[top] = nb
@@ -285,12 +324,12 @@ def _build_sweep(jit, view):
                 if nxt > step:
                     step = nxt
 
-        return decoded_out, decided_w_out, n_done, n_visited
+        return np.asarray(decoded, np.bool_), decided_w_out, n_done, n_visited
 
     return sweep
 
 
-sic_sweep_python = _build_sweep(_identity, memoryview)
+sic_sweep_python = _build_sweep(_identity, memoryview, _as_list)
 
 sic_sweep_compiled = None
 try:
@@ -298,7 +337,7 @@ try:
 except ImportError:
     _njit = None
 if _njit is not None:
-    sic_sweep_compiled = _build_sweep(_njit(cache=True), _njit(_identity))
+    sic_sweep_compiled = _build_sweep(_njit(cache=True), _njit(_identity), _njit(_identity))
 
 NUMBA_ENABLED = sic_sweep_compiled is not None
 sic_sweep = sic_sweep_compiled if NUMBA_ENABLED else sic_sweep_python

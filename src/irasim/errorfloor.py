@@ -340,14 +340,17 @@ def _floor_sum(
     if not feasible:
         return 0.0
     terms = []
-    for s in feasible:
-        _check_distinct_periods(s)
-        terms.append(term(s, n_v))
 
     def per_m(m: int) -> float:
         return sum(at(m, diagnostics) for at in terms)
 
-    return _mix_over_poisson(cfg.vf_span * load, per_m, diagnostics)
+    try:
+        for s in feasible:
+            _check_distinct_periods(s)
+            terms.append(term(s, n_v))
+        return _mix_over_poisson(cfg.vf_span * load, per_m, diagnostics)
+    except OverflowError as exc:  # a catalog row with hundreds of users or a huge iso_count
+        raise FloorError(f"a pattern term leaves the float64 range: {exc}") from exc
 
 
 def plr_floor(
@@ -512,7 +515,9 @@ def load_catalog(path) -> tuple[CollisionPattern, ...]:
 
     Each non-comment line holds ``name profile num_sets iso_count`` with the
     profile as comma-separated per-degree user counts starting at degree 1,
-    e.g. ``d222-m3 0,3,0,0 3 6``.
+    e.g. ``d222-m3 0,3,0,0 3 6``. A row with more users than
+    ``MAX_POISSON_TERMS`` is refused: its term is 0 for every ``m`` the
+    Poisson mixture reaches.
     """
     patterns = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -528,6 +533,9 @@ def load_catalog(path) -> tuple[CollisionPattern, ...]:
                 profile = tuple(int(x) for x in profile_s.split(","))
                 pattern = CollisionPattern(name, profile, int(mu_s), int(c_s))
                 _check_distinct_periods(pattern)
+                if pattern.num_users > MAX_POISSON_TERMS:
+                    raise FloorError(f"{pattern.num_users} users, more than the {MAX_POISSON_TERMS} "
+                                     "terms of the Poisson mixture")
             except ValueError as exc:
                 raise FloorError(f"{path}:{lineno}: {exc}") from exc
             patterns.append(pattern)

@@ -36,9 +36,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
-from statistics import NormalDist
 
 from .errorfloor import CollisionPattern, FloorParams, floor_params, plr_floor
 from .model import DegreeDistribution, ModelError, SystemConfig, validate_config
@@ -162,6 +161,8 @@ def wilson_interval(lost: int, total: int, confidence: float = 0.95) -> tuple[fl
     """Wilson score interval for a loss proportion; robust near zero counts."""
     if total <= 0:
         raise ValueError("interval needs at least one trial")
+    from statistics import NormalDist
+
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = lost / total
     z2n = z * z / total
@@ -262,7 +263,12 @@ class _InlineExecutor(Executor):
 def _batch_executor(jobs: int) -> Executor:
     if jobs > MAX_JOBS:
         raise ConfigError(f"jobs must be at most {MAX_JOBS}, got {jobs}")
-    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else _InlineExecutor()
+    if jobs <= 1:
+        return _InlineExecutor()
+    # loaded here, as only a --jobs N sweep needs it
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=jobs)
 
 
 def _run_grid(

@@ -20,9 +20,9 @@ whose collision component has at most one other replica within one packet
 of each replica (:func:`peel`, which also states why its outcome equals the
 sweep's bit for bit). Only the remaining users go through the window sweep
 of :mod:`irasim._kernels`. At low load, the error-floor region, the pre-pass
-resolves most users. Each replica also gets the count of replicas starting
-within the fatal radius of it (:func:`sweep_inputs`), so the sweep skips
-every MI evaluation that one active interferer already decides.
+resolves most users. Each replica also gets the index range of the replicas
+starting within the fatal radius of it (:func:`sweep_inputs`), so the sweep
+skips every MI evaluation that one active interferer already decides.
 """
 
 from __future__ import annotations
@@ -168,9 +168,9 @@ def _sorted_replicas(trace: TrafficTrace) -> tuple[np.ndarray, np.ndarray, np.nd
     and the sorted position of every replica in trace (user-major) order."""
     order = np.argsort(trace.rep_start, kind="stable")
     rep_start = trace.rep_start[order]
-    rep_owner = np.repeat(np.arange(trace.n_users, dtype=np.int64), trace.degree)[order]
-    pos = np.empty(trace.n_replicas, dtype=np.int64)
-    pos[order] = np.arange(trace.n_replicas)
+    rep_owner = np.repeat(np.arange(trace.n_users, dtype=np.int32), trace.degree)[order]
+    pos = np.empty(trace.n_replicas, dtype=np.int32)
+    pos[order] = np.arange(trace.n_replicas, dtype=np.int32)
     return rep_start, rep_owner, pos
 
 
@@ -192,31 +192,34 @@ class SweepInputs(NamedTuple):
     nb_lo: np.ndarray  # replicas nb_lo[i]:nb_hi[i] start strictly less than
     nb_hi: np.ndarray  # one packet away from replica i (one packet away only touches)
     rad: float  # fatal radius, 0.0 with the fatal pre-test off
-    n_fatal: np.ndarray  # per replica, the others starting strictly within rad
+    f_lo: np.ndarray  # replicas f_lo[i]:f_hi[i], i included, start strictly within rad of
+    f_hi: np.ndarray  # replica i; empty (0:0) where no other replica is within one packet
 
 
 def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
     """The sweep's arguments for one non-empty trace: its replicas, the
     receiver's step grid, the MI levels, the fatal radius and the fatal
-    counts."""
+    ranges."""
     rep_start, rep_owner, pos = _sorted_replicas(trace)
     vf_end = np.ascontiguousarray(trace.arrival + cfg.vf_span)
     w0 = float(trace.arrival[0]) - cfg.window_length
-    # int32 halves the two largest arrays the sweep holds next to the fatal
-    # counts and their copy; on dense traces that sets the peak memory
+    # int32 halves the index arrays the sweep holds next to its lists; on
+    # dense traces that sets the peak memory
     nb_lo = np.searchsorted(rep_start, rep_start - 1.0, side="right").astype(np.int32)
     nb_hi = np.searchsorted(rep_start, rep_start + 1.0, side="left").astype(np.int32)
     span = nb_hi - nb_lo  # the replica itself included
     mi_table = np.array([symbol_mi(cfg.snr_linear, k) for k in range(int(span.max()) + 1)])
     rad = _fatal_radius(rep_start, mi_table, clean_fraction(cfg.snr_linear, cfg.rate), cfg.rate)
-    n_fatal = np.zeros(rep_start.shape[0], dtype=np.int32)
+    f_lo = np.zeros(rep_start.shape[0], dtype=np.int32)
+    f_hi = np.zeros(rep_start.shape[0], dtype=np.int32)
     if rad > 0.0:
-        # a replica within rad lies in the neighbour range, so one alone there keeps 0
-        for a in range(0, rep_start.shape[0], _COUNT_BLOCK):
-            i = a + np.flatnonzero(span[a:a + _COUNT_BLOCK] > 1)
+        # a replica within rad lies in the neighbour range, so one alone there
+        # keeps an empty range
+        for a in range(0, rep_start.shape[0], _RANGE_BLOCK):
+            i = a + np.flatnonzero(span[a:a + _RANGE_BLOCK] > 1)
             s = rep_start[i]
-            # the replica itself is in its range
-            n_fatal[i] = rep_start.searchsorted(s + rad, "left") - rep_start.searchsorted(s - rad, "right") - 1
+            f_lo[i] = rep_start.searchsorted(s - rad, "right")
+            f_hi[i] = rep_start.searchsorted(s + rad, "left")
     return SweepInputs(
         rep_start=rep_start,
         rep_owner=rep_owner,
@@ -232,15 +235,16 @@ def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
         nb_lo=nb_lo,
         nb_hi=nb_hi,
         rad=rad,
-        n_fatal=n_fatal,
+        f_lo=f_lo,
+        f_hi=f_hi,
     )
 
 
 #: Unit roundoff of float64.
 _U = 2.0**-53
 
-#: Replicas per block of the fatal counts, which bounds their temporaries.
-_COUNT_BLOCK = 8192
+#: Replicas per block of the fatal ranges, which bounds their temporaries.
+_RANGE_BLOCK = 8192
 
 
 def _fatal_radius(rep_start, mi_table, phi: float, rate: float) -> float:
@@ -339,6 +343,7 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         return None
     nb_lo = nb_lo.astype(np.intp)  # index arrays below; int32 ones get converted at every use
     nb_hi = nb_hi.astype(np.intp)
+    rep_owner = rep_owner.astype(np.intp)
     cand = np.flatnonzero(~tainted[rep_owner])
     lo = nb_lo[cand]
     hi = nb_hi[cand]
@@ -420,24 +425,24 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
 def _restrict(geom: SweepInputs, keep: np.ndarray) -> SweepInputs:
     """The :func:`sweep_inputs` of the users in mask ``keep`` alone, with the
     whole trace's step grid, MI levels and radius. No replica of a kept user
-    may have a dropped one in its neighbour range, so the kept ranges map
-    onto the kept replicas, and the kept fatal counts, whose replicas lie in
-    those ranges, stay exact."""
+    may have a dropped one in its neighbour range, so the kept neighbour
+    ranges, and the fatal ranges inside them, map onto the kept replicas."""
     keep_rep = keep[geom.rep_owner]
-    rank = np.zeros(keep_rep.shape[0] + 1, dtype=np.int64)  # kept replicas before each index
+    rank = np.zeros(keep_rep.shape[0] + 1, dtype=np.int32)  # kept replicas before each index
     np.cumsum(keep_rep, out=rank[1:])
     degree = np.diff(geom.user_ptr)
     ptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
     np.cumsum(degree[keep], out=ptr[1:])
     return geom._replace(
         rep_start=geom.rep_start[keep_rep],
-        rep_owner=(np.cumsum(keep) - 1)[geom.rep_owner[keep_rep]],
+        rep_owner=(np.cumsum(keep, dtype=np.int32) - 1)[geom.rep_owner[keep_rep]],
         user_ptr=ptr,
         rep_of_user=rank[geom.rep_of_user[np.repeat(keep, degree)]],
         vf_end=geom.vf_end[keep],
         nb_lo=rank[geom.nb_lo[keep_rep]],
         nb_hi=rank[geom.nb_hi[keep_rep]],
-        n_fatal=geom.n_fatal[keep_rep],
+        f_lo=rank[geom.f_lo[keep_rep]],
+        f_hi=rank[geom.f_hi[keep_rep]],
     )
 
 

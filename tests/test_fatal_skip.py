@@ -1,10 +1,12 @@
 """Differential tests of the sweep's fatal pre-test.
 
 ``receiver.sweep_inputs`` passes the sweep a fatal radius ``rad`` and, per
-replica, the count of replicas starting strictly within ``rad`` of it; the
-sweep never evaluates a replica whose count is positive. The oracle is the
-same sweep on the same arguments with the test off (``rad = 0`` and zero
-counts): ``decoded`` and ``decided_w`` must agree bit for bit.
+replica, the index range ``[f_lo, f_hi)`` of the replicas starting strictly
+within ``rad`` of it, itself included; at a replica's admission the sweep
+counts the active ones among the others and never evaluates the replica
+while that count is positive. The oracle is the same sweep on the same
+arguments with the test off (``rad = 0`` and empty ranges): ``decoded`` and
+``decided_w`` must agree bit for bit.
 """
 
 import math
@@ -24,7 +26,7 @@ from conftest import MIXES, manual_trace
 
 def skip_off(args):
     """The same sweep arguments with the fatal test switched off."""
-    return args._replace(rad=0.0, n_fatal=np.zeros_like(args.n_fatal))
+    return args._replace(rad=0.0, f_lo=np.zeros_like(args.f_lo), f_hi=np.zeros_like(args.f_hi))
 
 
 def assert_skip_is_exact(args):
@@ -42,6 +44,24 @@ def brute_fatal_counts(rep_start, rad):
         sum(1 for j, t in enumerate(rep_start) if j != i and s - rad < t < s + rad)
         for i, s in enumerate(rep_start)
     ])
+
+
+def static_counts(args):
+    """``f_hi - f_lo - 1`` per replica, once every fatal range is checked:
+    both bounds are int32, a non-empty range holds exactly the replicas
+    starting strictly within ``rad``, the replica itself included, and an
+    empty one is left only where no other replica starts within one packet,
+    where it counts 0."""
+    rep_start, rad, f_lo, f_hi = args.rep_start, args.rad, args.f_lo, args.f_hi
+    assert f_lo.dtype == f_hi.dtype == np.int32
+    empty = f_lo == f_hi
+    assert not (f_lo[empty] | f_hi[empty]).any()
+    assert (empty == (args.nb_hi - args.nb_lo == 1)).all() if rad > 0.0 else empty.all()
+    for i in np.flatnonzero(~empty):
+        s = rep_start[i]
+        fatal = np.flatnonzero((rep_start > s - rad) & (rep_start < s + rad))
+        assert fatal.tolist() == list(range(f_lo[i], f_hi[i])), i
+    return np.where(empty, 0, f_hi - f_lo - 1)
 
 
 def random_system(k, rng):
@@ -79,10 +99,10 @@ def test_random_traces_match_the_sweep_without_the_test():
             continue
         args = sweep_inputs(trace, cfg)
         phi = clean_fraction(cfg.snr_linear, cfg.rate)
-        rad, n_fatal = args.rad, args.n_fatal
+        rad, n_fatal = args.rad, args.f_hi - args.f_lo - 1
         if phi == 0.0:
             regimes["phi0"] += 1
-            assert rad == 0.0 and not n_fatal.any()
+            assert rad == 0.0 and not (args.f_lo.any() or args.f_hi.any())
         else:
             regimes["phi1" if phi == 1.0 else "partial"] += 1
             # off only where phi is too small for the margin to dominate rounding
@@ -90,7 +110,7 @@ def test_random_traces_match_the_sweep_without_the_test():
             switched_on += rad > 0.0
         assert_skip_is_exact(args)
         traces += 1
-        skipped += int(np.count_nonzero(n_fatal))
+        skipped += int(np.count_nonzero(n_fatal > 0))
     assert traces >= 1000
     assert min(regimes.values()) >= 100, regimes
     assert switched_on >= 0.99 * (regimes["partial"] + regimes["phi1"])
@@ -116,7 +136,7 @@ def checked_sweep():
 
         return avg_mi
 
-    sweep = _kernels._build_sweep(hook, memoryview)
+    sweep = _kernels._build_sweep(hook, memoryview, _kernels._as_list)
 
     def run(args):
         seen["rad"] = args.rad
@@ -158,9 +178,27 @@ def test_decrement_uses_the_counting_expressions():
     trace = manual_trace(cfg, [(50.0, 60.0), (edge, 80.0), (50.2, 60.0)])
     args = sweep_inputs(trace, cfg)
     # sorted: A at 50 (C fatal), C at 50.2 (A and B), B at the edge (C)
-    assert args.rad == rad and args.n_fatal[:3].tolist() == [1, 2, 1]
+    assert args.rad == rad and static_counts(args)[:3].tolist() == [1, 2, 1]
     (decoded, _, _, _), _ = checked_sweep()(args)
     assert decoded.tolist() == [False, True, False]
+
+
+def test_fatal_neighbour_decoded_before_admission():
+    # B decodes through its clean replica at 50 long before A's replica at
+    # 150.2, within rad of B's replica at 150, is admitted. A's count, taken
+    # at that admission, is 0, so A decodes there and not only later through
+    # its replica at 250.
+    cfg = SystemConfig.from_db(6.0, 1.5, 200.0)
+    trace = manual_trace(cfg, [(50.0, 150.0), (150.2, 250.0)])
+    args = sweep_inputs(trace, cfg)
+    assert static_counts(args).tolist() == [0, 1, 1, 0]  # sorted: 50, 150, 150.2, 250
+    (decoded, decided_w, _, _), _ = checked_sweep()(args)
+    assert decoded.tolist() == [True, True]
+    w = args.w0 + np.arange(args.n_steps) * args.step_len
+    admitted = (w + args.win_len).searchsorted(args.rep_start + 1.0, "left")
+    assert admitted[0] < admitted[1] == admitted[2] < admitted[3]
+    assert decided_w.tolist() == [w[admitted[0]], w[admitted[2]]]
+    assert_skip_is_exact(args)
 
 
 def test_restricted_inputs_keep_valid_counts():
@@ -175,9 +213,9 @@ def test_restricted_inputs_keep_valid_counts():
             continue
         restricted = _restrict(full, peeled[0])
         assert restricted.rad == full.rad > 0.0
-        assert restricted.n_fatal.dtype == np.int32
-        assert restricted.n_fatal.tolist() == brute_fatal_counts(restricted.rep_start, restricted.rad).tolist()
-        split += restricted.n_fatal.any()
+        n_fatal = static_counts(restricted)  # int32 bounds included
+        assert n_fatal.tolist() == brute_fatal_counts(restricted.rep_start, restricted.rad).tolist()
+        split += (n_fatal > 0).any()
     assert split >= 6
 
 
@@ -188,8 +226,10 @@ def test_counts_on_a_sparse_trace():
     args = sweep_inputs(trace, cfg)
     alone = args.nb_hi - args.nb_lo == 1
     assert args.rad > 0.0 and np.mean(alone) > 0.5
-    assert args.n_fatal.tolist() == brute_fatal_counts(args.rep_start, args.rad).tolist()
-    assert args.n_fatal.any() and not args.n_fatal[alone].any()
+    n_fatal = static_counts(args)
+    assert n_fatal.tolist() == brute_fatal_counts(args.rep_start, args.rad).tolist()
+    assert n_fatal.any() and not n_fatal[alone].any()
+    assert (args.f_lo[alone] == args.f_hi[alone]).all()  # not searched
 
 
 @pytest.mark.parametrize("rate", [0.5, 1.5, 2.0, 2.5])
@@ -197,11 +237,11 @@ def test_counts_hold_the_replicas_strictly_within_the_radius(rate):
     cfg = SystemConfig.from_db(6.0, rate, 20.0)
     trace = generate_trace(cfg, MIXES[2], 1.0, 300.0, np.random.default_rng(9))
     args = sweep_inputs(trace, cfg)
-    rep_start, nb_lo, nb_hi, rad, n_fatal = args.rep_start, args.nb_lo, args.nb_hi, args.rad, args.n_fatal
-    assert n_fatal.dtype == np.int32
+    rep_start, nb_lo, nb_hi, rad = args.rep_start, args.nb_lo, args.nb_hi, args.rad
+    n_fatal = static_counts(args)  # int32 bounds included
     assert n_fatal.tolist() == brute_fatal_counts(rep_start, rad).tolist()
     if rate == 0.5:  # below I1: phi = 0, empty fatal ranges
-        assert rad == 0.0 and not n_fatal.any()
+        assert rad == 0.0 and not (args.f_lo.any() or args.f_hi.any())
         return
     # every fatal neighbour, and the replica itself, lies in the neighbour
     # range the sweep walks
@@ -239,23 +279,23 @@ def test_offsets_within_ulps_of_the_threshold(base):
         args, _ = _pair_outcome(cfg, base, _nudged(base + phi, k))
         rad = args.rad
         assert 0.0 < rad < phi
-        assert args.n_fatal[:2].tolist() == [0, 0]
+        assert static_counts(args)[:2].tolist() == [0, 0]
     # at rad +- a few ulps the test starts to count, and nobody decodes
     for k in range(-4, 5):
         offset = _nudged(base + rad, k)
         args, decoded = _pair_outcome(cfg, base, offset)
         want = [int(offset < base + rad), int(base > offset - rad)]
-        assert args.n_fatal[:2].tolist() == want
+        assert static_counts(args)[:2].tolist() == want
         assert not decoded.any()
     args, _ = _pair_outcome(cfg, base, _nudged(base + rad, -1))
-    assert args.n_fatal[0] == 1
+    assert args.f_hi[0] - args.f_lo[0] - 1 == 1
 
 
 def test_guard_switches_the_test_off_near_1e9():
     cfg = SystemConfig.from_db(6.0, 1.5, 20.0)
     trace = generate_trace(cfg, MIXES[2], 0.75, 400.0, np.random.default_rng(4))
     near = sweep_inputs(trace, cfg)
-    assert near.rad > 0.0 and near.n_fatal.any()
+    assert near.rad > 0.0 and (near.f_hi - near.f_lo - 1 > 0).any()
     shifted = TrafficTrace(
         arrival=trace.arrival + 1e9,
         degree=trace.degree,
@@ -266,7 +306,7 @@ def test_guard_switches_the_test_off_near_1e9():
         vf_span=trace.vf_span,
     )
     args = sweep_inputs(shifted, cfg)
-    assert args.rad == 0.0 and not args.n_fatal.any()
+    assert args.rad == 0.0 and not (args.f_lo.any() or args.f_hi.any())
     assert_skip_is_exact(args)
     decoded, decided_w = run_sic_kernel(shifted, cfg)
     want = _kernels.sic_sweep(*skip_off(args))

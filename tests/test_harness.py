@@ -59,10 +59,17 @@ def no_batches(monkeypatch):
 
 @pytest.fixture()
 def no_pool(monkeypatch):
-    def pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    """Fail the test if the sweep's executor is a process pool."""
+    real = harness._batch_executor
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+    def executor(jobs):
+        ex = real(jobs)
+        if not isinstance(ex, harness._InlineExecutor):
+            ex.shutdown()
+            raise AssertionError("a process pool was started")
+        return ex
+
+    monkeypatch.setattr(harness, "_batch_executor", executor)
 
 
 class _NoDraws:
@@ -262,25 +269,21 @@ class TestRunPoint:
         results = [one_point(cfg, 0.3, jobs=j) for j in (1, 2, 3)]
         assert results == [(101_164, 2_108)] * 3
 
-    def test_inline_without_pool(self, fast_cfg, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("jobs <= 1 started a process pool")
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    def test_inline_without_pool(self, fast_cfg, no_pool):
         assert one_point(fast_cfg, 0.2, jobs=0) == one_point(fast_cfg, 0.2, jobs=1)
         assert len(sweep(fast_cfg, jobs=1).rows) == 2
 
     def test_one_pool_per_sweep(self, fast_cfg, monkeypatch):
-        pools = []
+        executors = []
+        real = harness._batch_executor
 
-        class CountingPool(harness.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
+        def counting(jobs):
+            executors.append(real(jobs))
+            return executors[-1]
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(harness, "_batch_executor", counting)
         assert sweep(fast_cfg, jobs=2).rows == sweep(fast_cfg, jobs=1).rows
-        assert len(pools) == 1
+        assert [type(ex).__name__ for ex in executors] == ["ProcessPoolExecutor", "_InlineExecutor"]
 
     def test_tiny_load_rarely_loses(self):
         cfg = ExperimentConfig(
@@ -711,6 +714,27 @@ class TestInputGuards:
             for load in (lam_over_cap, math.inf, math.nan):
                 with pytest.raises(errorfloor.NonconvergentTruncation):
                     floor(load)
+
+    @pytest.mark.parametrize(
+        "row,code,message",
+        [
+            ("x 0,170,0,0 2 1", 0, ""),
+            ("x 0,171,0,0 2 1", 3, "float64 range"),  # 171! is no float
+            ("x 0,10000,0,0 2 1", 3, "float64 range"),
+            (f"x 0,2,0,0 2 {10**400}", 3, "float64 range"),
+            ("x 0,10001,0,0 2 1", 2, "more than the 10000 terms"),
+            ("x 0,3000000,0,0 2 1", 2, "more than the 10000 terms"),
+        ],
+        ids=["170-users", "171-users", "cap-users", "huge-iso-count", "over-cap", "3e6-users"],
+    )
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    def test_catalog_rows_past_the_float_range(self, config_file, tmp_path, row, code, message, command, capsys):
+        catalog = tmp_path / "cat.txt"
+        catalog.write_text(row + "\n")
+        out = tmp_path / "f.csv"
+        assert cli_main([command, str(config_file), "--catalog", str(catalog), "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert out.exists() == (code == 0)
 
 
 _VALUES = st.one_of(

@@ -52,9 +52,9 @@ seed = 5
 """
 
 
-def loaded_after(code: str, *argv: str) -> list[str]:
-    """The simulation modules present once ``code`` ran in a fresh interpreter."""
-    probe = f"{code}\nimport sys\nprint(' '.join(m for m in {SIMULATION_MODULES!r} if m in sys.modules))\n"
+def loaded_after(code: str, *argv: str, modules=SIMULATION_MODULES) -> list[str]:
+    """The ``modules`` present once ``code`` ran in a fresh interpreter."""
+    probe = f"{code}\nimport sys\nprint(' '.join(m for m in {tuple(modules)!r} if m in sys.modules))\n"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -72,6 +72,16 @@ def test_analytic_commands_load_no_numpy(tmp_path):
     assert loaded_after(run, "verify-ucp", "--min-periods", "6", "--max-periods", "6") == []
     # the probe does see a module that is loaded
     assert loaded_after("from irasim import harness\nharness.point_seed(1, 0)") == ["numpy"]
+
+
+def test_predict_loads_no_process_pool(tmp_path):
+    # only a --jobs N sweep needs the pool, and only the Wilson interval statistics
+    run = "import sys\nfrom irasim import cli\nassert cli.main(sys.argv[1:]) == 0"
+    predict = ["predict", str(ROOT / "configs" / "irr1_tf200_r15.cfg"), "--out", str(tmp_path / "f.csv")]
+    modules = ("concurrent.futures.process", "statistics")
+    assert loaded_after(run, *predict, modules=modules) == []
+    pool = "from irasim import harness\nharness._batch_executor(2).shutdown()"
+    assert loaded_after(pool, modules=modules) == ["concurrent.futures.process"]
 
 
 def test_sweep_loads_the_simulation_before_the_pool():

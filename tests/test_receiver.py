@@ -215,7 +215,7 @@ def test_mi_table_covers_the_largest_neighbour_range(cfg200):
     n = 80
     trace = manual_trace(cfg, [(0.0125 * u, 30.0 + 1.5 * u) for u in range(n)])
     args = sweep_inputs(trace, cfg)
-    assert args.rad == 0.0 and not args.n_fatal.any()
+    assert args.rad == 0.0 and not (args.f_lo.any() or args.f_hi.any())
     assert int(np.max(args.nb_hi - args.nb_lo)) == n
 
     seen = []
@@ -230,7 +230,7 @@ def test_mi_table_covers_the_largest_neighbour_range(cfg200):
 
         return avg_mi
 
-    decoded, decided_w, _, _ = _kernels._build_sweep(hook, memoryview)(*args)
+    decoded, decided_w, _, _ = _kernels._build_sweep(hook, memoryview, _kernels._as_list)(*args)
     assert max(seen) >= 64
     want = _kernels.sic_sweep(*args)
     assert np.array_equal(decoded, want[0]) and np.array_equal(decided_w, want[1])
