@@ -12,7 +12,8 @@ gets started: unresolvable collision patterns. The machinery here
   over a fixed set of periods,
 * combines selection, placement and configuration counts into the probability
   that a tagged user is caught in a pattern (:func:`pattern_term` sets up,
-  once per pattern, every count that does not depend on the number of users),
+  once per pattern, every count that does not depend on the number of users,
+  and :func:`plr_floor` keeps its values for the other loads of a grid),
   and mixes over the Poisson number of users sharing a virtual-frame span,
 * validates every configuration count against a brute-force enumeration over
   a small number of labeled periods.
@@ -24,6 +25,7 @@ weights go through log space.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -140,8 +142,10 @@ _BUILTIN_ROWS = (
 )
 
 
+@functools.cache
 def builtin_catalog() -> tuple[CollisionPattern, ...]:
-    """The twelve dominant patterns with at most four replica-collision sets."""
+    """The twelve dominant patterns with at most four replica-collision sets
+    (one tuple, built on the first call)."""
     return tuple(CollisionPattern(n, p, mu, c) for n, p, mu, c in _BUILTIN_ROWS)
 
 
@@ -216,29 +220,34 @@ def edge_assignment_count(n_v: int, profile) -> int | float:
 
 
 def pattern_term(pattern: CollisionPattern, n_v: int, dist: DegreeDistribution):
-    """The probability that a tagged user, one of ``m``, is caught in
-    ``pattern``, as a function ``at(m, diagnostics=None)``.
+    """The union-bound probability that a tagged user, one of ``m``, is
+    caught in ``pattern``, as a function ``at(m)``; it can exceed 1 where
+    ``n_v`` is small, and the floor core caps it there.
 
     Every count that does not depend on ``m`` is set up here, once: the
-    factorial of the user count, the weight ``p**cnt / cnt!`` of each degree
-    of the profile in profile order (0 for a degree without mass), and the
-    period-choice and placement counts. ``at(m)`` multiplies the expected
-    ways to pick the users out of ``m`` (0 when ``m`` is too small) by the
-    ways to place them, over all placements.
+    weight ``p**cnt / cnt!`` of each degree of the profile in profile order
+    (0 for a degree without mass), the configuration count as a float, and
+    the period-choice and placement counts. A row whose weights or
+    configuration count leave the float range fails here with an
+    ``OverflowError``. ``at(m)`` multiplies the expected ways to pick the
+    users out of ``m`` (0 when ``m`` is too small) by the ways to place
+    them, over all placements. :func:`plr_floor` keeps the values of ``at``
+    across calls, for at most ``_TERM_TABLES`` scenarios and
+    ``_TABLE_VALUES`` values each (:func:`_term_rows`).
     """
     nu = pattern.num_users
-    nu_factorial = math.factorial(nu)
     weights = [dist.prob(l) ** cnt / math.factorial(cnt) for l, cnt in enumerate(pattern.profile, start=1) if cnt]
-    iso_count = pattern.iso_count
+    # the product below converted the integer the same way, at every m
+    iso_count = float(pattern.iso_count)
     periods = period_choice_count(n_v, pattern.num_sets)
     total = edge_assignment_count(n_v, pattern.profile)
 
-    def at(m: int, diagnostics: dict | None = None) -> float:
-        sel = float(math.comb(m, nu) * nu_factorial)
+    def at(m: int) -> float:
+        sel = float(math.perm(m, nu))  # comb(m, nu) * nu!, the same integer
         for w in weights:
             sel *= w
         # exact big-integer ratio, converted to float only at the end
-        return _clamp(sel * iso_count * nu * (periods / (m * total)), diagnostics)
+        return sel * iso_count * nu * (periods / (m * total))
 
     return at
 
@@ -304,53 +313,113 @@ def _mix_over_poisson(lam: float, per_m, diagnostics: dict | None) -> float:
     return total
 
 
-def _floor_sum(
-    load: float,
-    cfg: SystemConfig,
-    dist: DegreeDistribution,
-    catalog: tuple[CollisionPattern, ...] | None,
-    term,
-    diagnostics: dict | None,
-) -> float:
-    """The floor core: ``term(s, n_v)(m, diagnostics)``, the probability that
-    a tagged user, one of ``m``, is caught in pattern ``s``, summed over the
-    patterns of ``catalog`` (default: builtin) feasible for ``dist`` and
-    mixed over the Poisson number ``m`` of users per virtual-frame span.
+def _floor_setup(cfg: SystemConfig, dist: DegreeDistribution, catalog, terms):
+    """The floor geometry, the patterns of ``catalog`` (default: builtin)
+    feasible for ``dist``, and their ``rows`` from ``terms(feasible, n_v,
+    dist)`` (None when no pattern is feasible).
 
     A pattern is feasible when every degree of its profile has mass and its
     replica-collision sets fit the ``n_v`` vulnerable periods; a feasible
     pattern whose user needs more distinct periods than the pattern occupies
-    is rejected. With ``phi = 0`` no floor exists: ``n_v`` is 0, no pattern
-    fits and the floor is 0.
+    is rejected. With ``phi = 0``, ``n_v`` is 0 and no pattern fits.
     """
     if catalog is None:
         catalog = builtin_catalog()
     if not catalog:
         raise FloorError("pattern catalog is empty")
     params = floor_params(cfg)
-    n_v = params.n_v
-    feasible = [
+    feasible = tuple(
         s for s in catalog
-        if s.num_sets <= n_v and all(dist.prob(l) > 0.0 for l, cnt in enumerate(s.profile, start=1) if cnt)
-    ]
+        if s.num_sets <= params.n_v and all(dist.prob(l) > 0.0 for l, cnt in enumerate(s.profile, start=1) if cnt)
+    )
+    for s in feasible:
+        _check_distinct_periods(s)
+    try:
+        return params, feasible, terms(feasible, params.n_v, dist) if feasible else None
+    except OverflowError as exc:  # a catalog row with hundreds of users or a huge iso_count
+        raise FloorError(f"a pattern term leaves the float64 range: {exc}") from exc
+
+
+def _floor_sum(
+    load: float,
+    cfg: SystemConfig,
+    dist: DegreeDistribution,
+    catalog: tuple[CollisionPattern, ...] | None,
+    terms,
+    diagnostics: dict | None,
+) -> float:
+    """The floor core. ``terms(feasible, n_v, dist)`` sets up the per-pattern
+    terms of the feasible patterns (:func:`_floor_setup`) and returns
+    ``rows(m)``: the probability that a tagged user, one of ``m``, is caught
+    in each pattern, unclamped, in catalog order. The core caps each value
+    at 1, counting the caps in ``clamped_terms``, sums them and mixes the
+    sum over the Poisson number ``m`` of users per virtual-frame span. The
+    floor is 0 when no pattern is feasible.
+    """
+    params, feasible, rows = _floor_setup(cfg, dist, catalog, terms)
     if diagnostics is not None:
         diagnostics["phi"] = params.phi
-        diagnostics["n_v"] = n_v
+        diagnostics["n_v"] = params.n_v
         diagnostics["patterns"] = [s.name for s in feasible]
     if not feasible:
         return 0.0
-    terms = []
 
     def per_m(m: int) -> float:
-        return sum(at(m, diagnostics) for at in terms)
+        row = rows(m)
+        # a row with nothing to cap sums as the capped one does
+        return sum(row) if max(row) <= 1.0 else sum(_clamp(v, diagnostics) for v in row)
 
     try:
-        for s in feasible:
-            _check_distinct_periods(s)
-            terms.append(term(s, n_v))
         return _mix_over_poisson(cfg.vf_span * load, per_m, diagnostics)
-    except OverflowError as exc:  # a catalog row with hundreds of users or a huge iso_count
+    except OverflowError as exc:  # e.g. the selection count of a row with 170 users at m >= 171
         raise FloorError(f"a pattern term leaves the float64 range: {exc}") from exc
+
+
+def _each_m(term):
+    """The ``terms`` of :func:`_floor_sum` for a per-pattern ``term(s, n_v)``
+    that gives ``at(m)``: every term is computed afresh at every ``m``."""
+
+    def terms(feasible, n_v, dist):
+        at = [term(s, n_v) for s in feasible]
+        return lambda m: [f(m) for f in at]
+
+    return terms
+
+
+#: Scenarios whose terms :func:`plr_floor` keeps, and the values it keeps of
+#: each; 12 patterns with ``m`` up to 10,000 would be 120,000 values.
+_TERM_TABLES = 4
+_TABLE_VALUES = 1 << 15
+
+
+@functools.lru_cache(maxsize=_TERM_TABLES)
+def _term_rows(feasible: tuple[CollisionPattern, ...], n_v: int, dist: DegreeDistribution):
+    """The ``terms`` of :func:`plr_floor`: each pattern's :func:`pattern_term`,
+    whose values ``rows(m)`` keeps, so that the loads of a grid compute each
+    ``m`` once. The values do not depend on the load and the key holds every
+    input they do depend on, so a kept value is the one a fresh computation
+    gives. Rows past ``_TABLE_VALUES`` kept values are computed afresh.
+    """
+    at = [pattern_term(s, n_v, dist) for s in feasible]
+    kept: dict[int, tuple[float, ...]] = {}
+    max_rows = _TABLE_VALUES // len(at)
+
+    def rows(m: int) -> tuple[float, ...]:
+        row = kept.get(m)
+        if row is None:
+            row = tuple(f(m) for f in at)
+            if len(kept) < max_rows:
+                kept[m] = row
+        return row
+
+    return rows
+
+
+def prepare_floor(cfg: SystemConfig, dist: DegreeDistribution, catalog=None) -> None:
+    """Set up the terms of :func:`plr_floor` without summing any: raises what
+    that set-up raises (an empty catalog, an infeasible pattern, a term that
+    leaves the float range) and keeps the terms for the calls that follow."""
+    _floor_setup(cfg, dist, catalog, _term_rows)
 
 
 def plr_floor(
@@ -367,8 +436,15 @@ def plr_floor(
     number of users per virtual-frame span, the probability that a tagged
     user belongs to an unresolvable pattern (:func:`pattern_term`). Returns 0
     when one interferer can never kill a packet (``phi = 0``).
+
+    The unclamped terms of each ``m`` are kept across calls, keyed by the
+    feasible patterns, ``n_v`` and ``dist`` (:func:`_term_rows`), so the
+    loads of a grid share them. The cache holds at most ``_TERM_TABLES``
+    scenarios, the least recently used dropped first, and at most
+    ``_TABLE_VALUES`` values of each. The caps, ``clamped_terms`` and
+    ``m_terms`` are still counted per call.
     """
-    return _floor_sum(load, cfg, dist, catalog, lambda s, n_v: pattern_term(s, n_v, dist), diagnostics)
+    return _floor_sum(load, cfg, dist, catalog, _term_rows, diagnostics)
 
 
 def plr_regular(
@@ -389,9 +465,9 @@ def plr_regular(
     def term(s: CollisionPattern, n_v: int):
         nu, placements = s.num_users, n_v * math.comb(n_v - 1, degree - 1)
         num = math.comb(n_v - 1, s.num_sets - 1) * s.iso_count * n_v
-        return lambda m, d: _clamp(nu * math.comb(m, nu) * num / (m * placements**nu), d)
+        return lambda m: nu * math.comb(m, nu) * num / (m * placements**nu)
 
-    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), catalog, term, diagnostics)
+    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), catalog, _each_m(term), diagnostics)
 
 
 def plr_two_user(
@@ -410,10 +486,10 @@ def plr_two_user(
 
     def term(s: CollisionPattern, n_v: int):
         den_base = n_v * math.comb(n_v - 1, degree - 1)
-        return lambda m, d: _clamp((2 * math.comb(m, 2)) / (m * den_base), d)
+        return lambda m: (2 * math.comb(m, 2)) / (m * den_base)
 
     pair = (two_user_pattern(degree),)
-    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), pair, term, diagnostics)
+    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), pair, _each_m(term), diagnostics)
 
 
 # -- brute-force validation of the configuration counts ----------------------
@@ -434,7 +510,7 @@ def count_configurations(pattern: CollisionPattern, n_periods: int) -> int:
     the enumeration still runs over all ``n_periods`` periods, so that
     identity is checked rather than assumed.
 
-    Users are placed in descending degree order. Three exact reductions keep
+    Users are placed in descending degree order. Four exact reductions keep
     the enumeration small:
 
     * Period relabelling. A permutation of the periods maps an assignment
@@ -444,9 +520,20 @@ def count_configurations(pattern: CollisionPattern, n_periods: int) -> int:
       each other, so every one of the ``comb(n_periods, d1)`` choices for the
       first user completes in the same number of ways. The first user is
       fixed to periods ``0..d1-1`` and the count multiplied by that binomial.
+    * User relabelling. Swapping two users of equal degree also maps an
+      assignment that realises the pattern to another one, since every
+      condition is symmetric in the users. Two users with one and the same
+      mask never realise a pattern with a third user: the two would form a
+      stuck proper subset. So each run of ``g`` equal-degree users after the
+      first user (the first is fixed by the period relabelling, so the users
+      of its degree after it form their own run) is placed in strictly
+      increasing mask order, and the count is multiplied by ``g!``. With
+      only two users, the second is a run of one, free to repeat the
+      first user's mask.
     * Pruning. A branch stops when more than ``num_sets`` periods are
       occupied, or when more periods hold a single replica than replicas are
-      left to place (each such period needs one more).
+      left to place (each such period needs one more). Both tests hold for
+      every completion of the branch, in any order of the users.
     * Leaf checks on holders. Each occupied period becomes the bitmask of the
       users holding a replica there, so the stuck test is a few bit
       operations on ``num_sets`` masks per user subset. Connectivity needs no
@@ -464,12 +551,13 @@ def count_configurations(pattern: CollisionPattern, n_periods: int) -> int:
         return 0
     nu = len(degrees)
     everyone = (1 << nu) - 1
-    masks_by_degree = {
-        d: [sum(1 << b for b in combo) for combo in combinations(range(n_periods), d)]
-        for d in set(degrees)
-    }
+    bits = [1 << b for b in range(n_periods)]
+    masks_by_degree = {d: [sum(combo) for combo in combinations(bits, d)] for d in set(degrees)}
     # replicas still to place once the first ``pos`` users are placed
     left = [sum(degrees[pos:]) for pos in range(nu + 1)]
+    # whether the user at ``pos`` continues the run of the user before it
+    in_run = [1 < pos < nu and degrees[pos] == degrees[pos - 1] for pos in range(nu + 1)]
+    orbit = math.prod(math.factorial(degrees.count(d) - (d == degrees[0])) for d in set(degrees))
     chosen = [0] * nu
 
     def realised(union: int) -> bool:
@@ -488,23 +576,25 @@ def count_configurations(pattern: CollisionPattern, n_periods: int) -> int:
                 return False
         return True
 
-    def rec(pos: int, union: int, ones: int) -> int:
+    def rec(pos: int, union: int, ones: int, lo: int) -> int:
         if pos == nu:
             return 1 if not ones and union.bit_count() == mu and realised(union) else 0
         found = 0
-        for mask in masks_by_degree[degrees[pos]]:
+        masks = masks_by_degree[degrees[pos]]
+        for i in range(lo, len(masks)):
+            mask = masks[i]
             u2 = union | mask
             if u2.bit_count() > mu:
                 continue
             o2 = (ones & ~mask) | (mask & ~union)
             if o2.bit_count() <= left[pos + 1]:
                 chosen[pos] = mask
-                found += rec(pos + 1, u2, o2)
+                found += rec(pos + 1, u2, o2, i + 1 if in_run[pos + 1] else 0)
         return found
 
     first = (1 << degrees[0]) - 1
     chosen[0] = first
-    return math.comb(n_periods, degrees[0]) * rec(1, first, first)
+    return math.comb(n_periods, degrees[0]) * orbit * rec(1, first, first, 0)
 
 
 # -- catalog files ------------------------------------------------------------

@@ -36,11 +36,13 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 
-from .errorfloor import CollisionPattern, FloorParams, floor_params, plr_floor
+from .errorfloor import CollisionPattern, FloorParams, floor_params, plr_floor, prepare_floor
 from .model import DegreeDistribution, ModelError, SystemConfig, validate_config
+
+# ``Executor`` and ``Future`` below name concurrent.futures types, imported
+# only where an executor is built
 
 #: Virtual frames of usable span per Monte Carlo batch; the window-length
 #: margins added on both sides keep the edge exclusion under a few percent.
@@ -250,11 +252,21 @@ def _simulate_batch(
     )
 
 
-class _InlineExecutor(Executor):
+class _InlineExecutor:
     """Runs each batch at submission in the calling thread, so ``jobs <= 1``
-    starts no process and no thread."""
+    starts no process and no thread. It has the part of the ``Executor``
+    interface that :func:`_run_grid` uses, so that the analytic commands
+    need not import concurrent.futures."""
+
+    def __enter__(self) -> "_InlineExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
+        from concurrent.futures import Future
+
         future = Future()
         future.set_result(fn(*args, **kwargs))
         return future
@@ -344,6 +356,9 @@ def sweep(
     from . import receiver  # noqa: F401
 
     params = floor_params(cfg.system)
+    # a catalog the floor cannot use fails here, before the first batch; the
+    # Poisson mixture of each load still runs after the grid
+    prepare_floor(cfg.system, cfg.distribution, catalog)
     points = [(g, point_seed(cfg.seed, i)) for i, g in enumerate(cfg.load_grid)]
     with _batch_executor(jobs) as executor:
         totals = _run_grid(cfg, points, executor, jobs, outcome_sink)

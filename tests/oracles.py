@@ -14,7 +14,7 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 
-from irasim.errorfloor import _clamp, _floor_sum, edge_assignment_count, period_choice_count
+from irasim.errorfloor import _each_m, _floor_sum, edge_assignment_count, period_choice_count
 
 TABLE_ROWS = [
     ((0, 2, 0, 0), 2, 1),
@@ -89,26 +89,27 @@ def profile_selection_count(m, profile, dist):
     return acc
 
 
-def prob_user_in_pattern_per_m(m, pattern, n_v, dist, diagnostics=None):
-    """The per-user pattern probability with every count recomputed at ``m``,
-    in the float order of ``irasim.errorfloor.pattern_term``."""
+def prob_user_in_pattern_per_m(m, pattern, n_v, dist):
+    """The unclamped per-user pattern probability with every count
+    recomputed at ``m``, in the float order of
+    ``irasim.errorfloor.pattern_term``."""
     sel = profile_selection_count(m, pattern.profile, dist)
     if sel == 0.0:
         return 0.0
     periods = period_choice_count(n_v, pattern.num_sets)
     total = edge_assignment_count(n_v, pattern.profile)
-    pr = sel * pattern.iso_count * pattern.num_users * (periods / (m * total))
-    return _clamp(pr, diagnostics)
+    return sel * pattern.iso_count * pattern.num_users * (periods / (m * total))
 
 
 def plr_floor_per_m(load, cfg, dist, catalog=None, *, diagnostics=None):
     """``plr_floor`` with :func:`prob_user_in_pattern_per_m` as the per-pattern
-    term: the same floor core, so values and diagnostics compare with ``==``."""
+    term, computed at every ``m`` of every call: the same floor core without
+    the kept terms, so values and diagnostics compare with ``==``."""
 
     def term(s, n_v):
-        return lambda m, d: prob_user_in_pattern_per_m(m, s, n_v, dist, d)
+        return lambda m: prob_user_in_pattern_per_m(m, s, n_v, dist)
 
-    return _floor_sum(load, cfg, dist, catalog, term, diagnostics)
+    return _floor_sum(load, cfg, dist, catalog, _each_m(term), diagnostics)
 
 
 def two_user_closed_form(load, vf_span, n_v):

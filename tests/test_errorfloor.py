@@ -1,12 +1,15 @@
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from irasim import errorfloor
 from irasim.errorfloor import (
     _MAX_ENUM_PERIODS,
+    _clamp,
     MAX_POISSON_TERMS,
     CollisionChannelRegimeWarning,
     CollisionPattern,
@@ -146,16 +149,20 @@ class TestProbUserInPattern:
         # counts that are not 2**k or 3 * 2**k, so that reordering the
         # integer factors of a term changes its rounding
         extra = (CollisionPattern("d233-m3", (0, 1, 2), 3, 7), CollisionPattern("d2223-m4", (0, 3, 1), 4, 5))
+        above_one = {}
         for dist in (dist_x2, dist_lambda1, dist_lambda2):
             for n_v in (4, 5, 112, 225):
                 for s in builtin_catalog() + extra:
                     for m in range(2, 40):
-                        d_new, d_old = {}, {}
-                        got = pattern_term(s, n_v, dist)(m, d_new)
-                        assert got == prob_user_in_pattern_per_m(m, s, n_v, dist, d_old)
-                        assert d_new == d_old
-        assert d_new == {}  # nothing clamped at n_v = 225
-        assert pattern_term(builtin_catalog()[0], 2, dist_x2)(4, d_new) == 1.0
+                        got = pattern_term(s, n_v, dist)(m)
+                        assert got == prob_user_in_pattern_per_m(m, s, n_v, dist)
+                        above_one[n_v] = above_one.get(n_v, 0) + (got > 1.0)
+        # the terms are unclamped; the floor core caps them (TestPerMOracle)
+        assert above_one[4] > 0 and above_one[225] == 0
+        raw = pattern_term(builtin_catalog()[0], 2, dist_x2)(4)
+        assert raw == 1.5
+        d_new = {}
+        assert _clamp(raw, d_new) == 1.0
         assert d_new == {"clamped_terms": 1}
 
     def test_degree_above_num_sets_rejected(self, cfg_tf200_r15, dist_x3):
@@ -262,6 +269,85 @@ class TestPerMOracle:
         )
         clamped = [self.assert_same(g, cfg, dist, catalog).get("clamped_terms", 0) for g in (0.05, 0.5, 2.0)]
         assert clamped[0] < clamped[1] < clamped[2]
+
+
+class TestTermCache:
+    """``plr_floor`` keeps the unclamped terms of each ``m`` across calls;
+    a warm call must give the bits and diagnostics of a cold one."""
+
+    @staticmethod
+    def call(load, cfg, dist, catalog=None):
+        diag = {}
+        got = plr_floor(load, cfg, dist, catalog, diagnostics=diag)
+        return got.hex(), diag
+
+    def cold(self, load, cfg, dist, catalog=None):
+        errorfloor._term_rows.cache_clear()
+        return self.call(load, cfg, dist, catalog)
+
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_warm_equals_cold_on_the_config_grids(self, descending):
+        for path in CONFIGS:
+            cfg = parse_config_file(path)
+            want = {g: self.cold(g, cfg.system, cfg.distribution) for g in cfg.load_grid}
+            errorfloor._term_rows.cache_clear()
+            for g in sorted(cfg.load_grid, reverse=descending):
+                assert self.call(g, cfg.system, cfg.distribution) == want[g], (path.stem, g)
+            info = errorfloor._term_rows.cache_info()
+            assert (info.misses, info.hits) == (1, len(cfg.load_grid) - 1)
+
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_warm_equals_cold_where_terms_are_clamped(self, descending):
+        cfg = SystemConfig.from_db(6.0, 2.0, 6.0)  # n_v = 3
+        dist = DegreeDistribution.from_pairs([(2, 0.6), (3, 0.4)])
+        catalog = (CollisionPattern("d22-m2", (0, 2, 0), 2, 1), CollisionPattern("d223-m3", (0, 2, 1), 3, 5))
+        loads = (0.05, 0.5, 2.0, 6.0)
+        want = {g: self.cold(g, cfg, dist, catalog) for g in loads}
+        assert all(want[g][1]["clamped_terms"] > 0 for g in loads[1:])
+        errorfloor._term_rows.cache_clear()
+        for g in sorted(loads, reverse=descending):
+            assert self.call(g, cfg, dist, catalog) == want[g]
+
+    def test_catalogs_keep_their_own_entries(self, tmp_path, cfg_tf200_r15, dist_lambda1):
+        # the same names with one count changed: a key without the rows'
+        # contents would hand the file's catalog the builtin's terms
+        path = tmp_path / "cat.txt"
+        write_catalog(path, [replace(s, iso_count=s.iso_count + 1) if s.name == "d223-m3" else s
+                             for s in builtin_catalog()])
+        loaded = load_catalog(path)
+        errorfloor._term_rows.cache_clear()
+        for g in (0.1, 0.4, 0.1, 0.05):
+            for catalog in (None, loaded, None):
+                got = plr_floor(g, cfg_tf200_r15, dist_lambda1, catalog)
+                assert got == plr_floor_per_m(g, cfg_tf200_r15, dist_lambda1, catalog)
+        info = errorfloor._term_rows.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert plr_floor(0.1, cfg_tf200_r15, dist_lambda1) < plr_floor(0.1, cfg_tf200_r15, dist_lambda1, loaded)
+
+    def test_cache_is_bounded(self, monkeypatch, cfg_tf200_r15):
+        # every table keeps at most _TABLE_VALUES values; the rows past them
+        # are computed afresh at each call
+        computed = []
+        real = errorfloor.pattern_term
+
+        def counting(pattern, n_v, dist):
+            at = real(pattern, n_v, dist)
+            return lambda m: computed.append(m) or at(m)
+
+        monkeypatch.setattr(errorfloor, "pattern_term", counting)
+        monkeypatch.setattr(errorfloor, "_TABLE_VALUES", 3 * 20)
+        dist = DegreeDistribution.regular(2)  # three feasible patterns: 20 rows kept
+        errorfloor._term_rows.cache_clear()
+        first = self.call(0.3, cfg_tf200_r15, dist)
+        rows = len(computed) // 3
+        assert rows > 40
+        assert self.call(0.3, cfg_tf200_r15, dist) == first
+        assert len(computed) == 3 * rows + 3 * (rows - 20)
+        monkeypatch.setattr(errorfloor, "pattern_term", real)
+        assert self.cold(0.3, cfg_tf200_r15, dist) == first
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
+            plr_floor(0.3, cfg_tf200_r15, DegreeDistribution.from_pairs([(2, p), (3, 1.0 - p)]))
+        assert errorfloor._term_rows.cache_info().currsize == errorfloor._TERM_TABLES
 
 
 class TestSpecialisations:
@@ -438,3 +524,31 @@ class TestCountConfigurations:
             for n in range(mu + 1, _MAX_ENUM_PERIODS + 1):
                 assert count_configurations(pattern, n) == math.comb(n, mu) * base, (pattern.name, n)
         assert nonzero >= len(builtin_catalog()) + 5
+
+    @pytest.mark.parametrize(
+        "degrees,n",
+        [
+            # the labelled oracle walks every product of the users' masks,
+            # so the cases stay near 10**5 leaves (10**6 for the last one)
+            ((3, 3, 3, 3, 3), 5),
+            ((3, 3, 3, 3, 5, 5), 5),
+            ((2, 2, 2, 2, 5), 5),
+            ((2, 2, 2, 3, 4), 5),
+            ((2, 2, 2, 2, 2), 5),
+            ((2, 2, 2, 2, 2), 6),
+        ],
+        ids=lambda x: "".join(map(str, x)) if isinstance(x, tuple) else f"n{x}",
+    )
+    def test_matches_labelled_oracle_mu5(self, degrees, n):
+        # runs of up to four interchangeable users after the fixed first one,
+        # and profiles whose count is 0
+        pattern = CollisionPattern("r", tuple(degrees.count(l) for l in range(1, 6)), 5, 1)
+        assert count_configurations(pattern, n) == count_configurations_labelled(pattern, n)
+
+    @pytest.mark.parametrize("name,n", [("d22-m2", 9), ("d22-m2", 10), ("d2222-m4", 9)])
+    def test_identical_masks_past_the_builtin_oracle_range(self, name, n):
+        # the second of two users may take the first one's mask; within a
+        # run of three degree-2 users the enumeration skips repeated masks,
+        # which the oracle tries and rejects as a stuck pair
+        pattern = next(p for p in builtin_catalog() if p.name == name)
+        assert count_configurations(pattern, n) == count_configurations_labelled(pattern, n)

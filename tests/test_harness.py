@@ -1,9 +1,10 @@
 import io
 import math
+import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from irasim import cli, errorfloor, harness
@@ -821,3 +822,40 @@ def test_cli_ends_in_an_exit_code_or_a_stand_in(config_file, tmp_path, no_work, 
         assert any(stand_in in str(exc) for stand_in in _STAND_INS), exc
         return
     assert rc in (0, 2, 3)
+
+
+# one catalog row: per-degree counts from degree 1, num_sets (often just
+# above the top degree, which it must reach) and iso_count
+_COUNTS = st.one_of(*[st.integers(0, 3)] * 4, st.integers(100, 400), st.integers(0, 10**7))
+_PROFILES = st.tuples(st.sampled_from([0] * 15 + [1]), st.lists(_COUNTS, min_size=1, max_size=4)).map(
+    lambda t: [t[0], *t[1]])
+_CATALOG_ROW = _PROFILES.flatmap(lambda profile: st.tuples(
+    st.just(profile),
+    st.one_of(st.integers(len(profile), len(profile) + 3), st.integers(-1, 10**3)),
+    st.one_of(st.integers(1, 100), st.integers(-1, 10**400)),
+))
+IRREGULAR_CONFIG = CONFIG_TEXT.replace("degree = 2 1.0", "degree = 2 0.5\ndegree = 3 0.3\ndegree = 4 0.2")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(_CATALOG_ROW, min_size=1, max_size=2))
+def test_predict_over_catalog_rows_ends_in_an_exit_code(tmp_path, rows):
+    # n_v = 22 here; the rows reach 10**7 users of a degree, 1000 sets and
+    # a count of 10**400, past every float and term cap of the floor
+    config = tmp_path / "irregular.cfg"
+    config.write_text(IRREGULAR_CONFIG)
+    catalog = tmp_path / "cat.txt"
+    catalog.write_text("".join(f"r{i} {','.join(map(str, profile))} {mu} {count}\n"
+                               for i, (profile, mu, count) in enumerate(rows)))
+    out = tmp_path / "f.csv"
+    out.unlink(missing_ok=True)
+    t0 = time.perf_counter()
+    rc = cli_main(["predict", str(config), "--catalog", str(catalog), "--out", str(out)])
+    assert time.perf_counter() - t0 < 10.0
+    assert rc in (0, 2, 3)
+    event(f"exit {rc}")
+    assert out.exists() == (rc == 0)
+    if rc == 0:
+        floors = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[2:]]
+        assert all(0.0 <= f <= 1.0 for f in floors), floors

@@ -75,13 +75,17 @@ def test_analytic_commands_load_no_numpy(tmp_path):
 
 
 def test_predict_loads_no_process_pool(tmp_path):
-    # only a --jobs N sweep needs the pool, and only the Wilson interval statistics
+    # only a sweep needs an executor, a --jobs N sweep the pool, and only
+    # the Wilson interval statistics
     run = "import sys\nfrom irasim import cli\nassert cli.main(sys.argv[1:]) == 0"
     predict = ["predict", str(ROOT / "configs" / "irr1_tf200_r15.cfg"), "--out", str(tmp_path / "f.csv")]
-    modules = ("concurrent.futures.process", "statistics")
+    modules = ("concurrent.futures", "concurrent.futures.process", "statistics")
     assert loaded_after(run, *predict, modules=modules) == []
+    assert loaded_after(run, "verify-ucp", "--min-periods", "6", "--max-periods", "6", modules=modules) == []
     pool = "from irasim import harness\nharness._batch_executor(2).shutdown()"
-    assert loaded_after(pool, modules=modules) == ["concurrent.futures.process"]
+    assert loaded_after(pool, modules=modules) == ["concurrent.futures", "concurrent.futures.process"]
+    inline = "from irasim import harness\nharness._batch_executor(1).submit(int)"
+    assert loaded_after(inline, modules=modules) == ["concurrent.futures"]
 
 
 def test_sweep_loads_the_simulation_before_the_pool():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from irasim import harness
+from irasim import cli, harness
 from irasim.harness import ExperimentConfig, expected_batch_users, parse_config_file, point_seed, sweep
 from irasim.model import DegreeDistribution, SystemConfig
 
@@ -169,3 +169,20 @@ def test_at_most_jobs_batches_unreduced(jobs, shortfall_reduced):
     assert not executor.live
     # a point's stop can leave at most the other jobs - 1 slots' batches unread
     assert reduced <= executor.submitted <= reduced + len(want) * (jobs - 1)
+
+
+@pytest.mark.parametrize(
+    "row", ["x 0,171,0,0 2 1", f"x 0,2,0,0 2 {10**400}"], ids=["171-users", "huge-iso-count"]
+)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_floor_overflow_ends_the_sweep_before_the_first_batch(tmp_path, started, row, jobs, capsys):
+    # 171! and 10**400 are no floats; the floor's terms are set up before
+    # the grid, so no batch runs for a floor that cannot be computed
+    catalog = tmp_path / "cat.txt"
+    catalog.write_text(row + "\n")
+    argv = ["sweep", str(CONFIGS / "ira2_tf200_r15.cfg"), "--jobs", str(jobs),
+            "--catalog", str(catalog), "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 3
+    assert "float64 range" in capsys.readouterr().err
+    assert started.value == 0
+    assert not (tmp_path / "s.csv").exists()
