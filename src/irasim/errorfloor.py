@@ -313,15 +313,27 @@ def _mix_over_poisson(lam: float, per_m, diagnostics: dict | None) -> float:
     return total
 
 
-def _floor_setup(cfg: SystemConfig, dist: DegreeDistribution, catalog, terms):
-    """The floor geometry, the patterns of ``catalog`` (default: builtin)
-    feasible for ``dist``, and their ``rows`` from ``terms(feasible, n_v,
-    dist)`` (None when no pattern is feasible).
+def _floor_sum(
+    load: float,
+    cfg: SystemConfig,
+    dist: DegreeDistribution,
+    catalog: tuple[CollisionPattern, ...] | None,
+    terms,
+    diagnostics: dict | None,
+) -> float:
+    """The floor core. ``terms(feasible, n_v, dist)`` sets up the per-pattern
+    terms of the patterns of ``catalog`` (default: builtin) feasible for
+    ``dist`` and returns ``rows(m)``: the probability that a tagged user,
+    one of ``m``, is caught in each pattern, unclamped, in catalog order.
+    The core caps each value at 1, counting the caps in ``clamped_terms``,
+    sums them and mixes the sum over the Poisson number ``m`` of users per
+    virtual-frame span.
 
     A pattern is feasible when every degree of its profile has mass and its
     replica-collision sets fit the ``n_v`` vulnerable periods; a feasible
     pattern whose user needs more distinct periods than the pattern occupies
-    is rejected. With ``phi = 0``, ``n_v`` is 0 and no pattern fits.
+    is rejected. With ``phi = 0``, ``n_v`` is 0 and no pattern fits. The
+    floor is 0 when no pattern is feasible.
     """
     if catalog is None:
         catalog = builtin_catalog()
@@ -334,29 +346,6 @@ def _floor_setup(cfg: SystemConfig, dist: DegreeDistribution, catalog, terms):
     )
     for s in feasible:
         _check_distinct_periods(s)
-    try:
-        return params, feasible, terms(feasible, params.n_v, dist) if feasible else None
-    except OverflowError as exc:  # a catalog row with hundreds of users or a huge iso_count
-        raise FloorError(f"a pattern term leaves the float64 range: {exc}") from exc
-
-
-def _floor_sum(
-    load: float,
-    cfg: SystemConfig,
-    dist: DegreeDistribution,
-    catalog: tuple[CollisionPattern, ...] | None,
-    terms,
-    diagnostics: dict | None,
-) -> float:
-    """The floor core. ``terms(feasible, n_v, dist)`` sets up the per-pattern
-    terms of the feasible patterns (:func:`_floor_setup`) and returns
-    ``rows(m)``: the probability that a tagged user, one of ``m``, is caught
-    in each pattern, unclamped, in catalog order. The core caps each value
-    at 1, counting the caps in ``clamped_terms``, sums them and mixes the
-    sum over the Poisson number ``m`` of users per virtual-frame span. The
-    floor is 0 when no pattern is feasible.
-    """
-    params, feasible, rows = _floor_setup(cfg, dist, catalog, terms)
     if diagnostics is not None:
         diagnostics["phi"] = params.phi
         diagnostics["n_v"] = params.n_v
@@ -370,8 +359,9 @@ def _floor_sum(
         return sum(row) if max(row) <= 1.0 else sum(_clamp(v, diagnostics) for v in row)
 
     try:
+        rows = terms(feasible, params.n_v, dist)
         return _mix_over_poisson(cfg.vf_span * load, per_m, diagnostics)
-    except OverflowError as exc:  # e.g. the selection count of a row with 170 users at m >= 171
+    except OverflowError as exc:  # 171 users, a huge iso_count, or 170 users once m reaches 171
         raise FloorError(f"a pattern term leaves the float64 range: {exc}") from exc
 
 
@@ -413,13 +403,6 @@ def _term_rows(feasible: tuple[CollisionPattern, ...], n_v: int, dist: DegreeDis
         return row
 
     return rows
-
-
-def prepare_floor(cfg: SystemConfig, dist: DegreeDistribution, catalog=None) -> None:
-    """Set up the terms of :func:`plr_floor` without summing any: raises what
-    that set-up raises (an empty catalog, an infeasible pattern, a term that
-    leaves the float range) and keeps the terms for the calls that follow."""
-    _floor_setup(cfg, dist, catalog, _term_rows)
 
 
 def plr_floor(

@@ -36,9 +36,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errorfloor import CollisionPattern, FloorParams, floor_params, plr_floor, prepare_floor
+from .errorfloor import CollisionPattern, FloorParams, floor_params, plr_floor
 from .model import DegreeDistribution, ModelError, SystemConfig, validate_config
 
 # ``Executor`` and ``Future`` below name concurrent.futures types, imported
@@ -201,6 +201,12 @@ def run_sic_kernel(trace, cfg):
     return run_sic_kernel(trace, cfg)
 
 
+def _batch_horizon(system: SystemConfig) -> float:
+    """The span of one batch's trace: ``BATCH_VF_COUNT`` frames and a window
+    on each side."""
+    return BATCH_VF_COUNT * system.vf_span + 2.0 * system.window_length
+
+
 @dataclass(frozen=True)
 class BatchResult:
     users: int
@@ -227,7 +233,7 @@ def _simulate_batch(
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
     margin = system.window_length
-    horizon = BATCH_VF_COUNT * system.vf_span + 2.0 * margin
+    horizon = _batch_horizon(system)
     trace = generate_trace(system, dist, load, horizon, rng)
     decoded, decided_w = run_sic_kernel(trace, system)
     interior = (trace.arrival >= margin) & (trace.arrival + system.vf_span <= horizon - margin)
@@ -347,29 +353,31 @@ def sweep(
     catalog: tuple[CollisionPattern, ...] | None = None,
     outcome_sink=None,
 ) -> PlrCurve:
-    """Simulate every grid load and attach the analytic floor prediction.
+    """:func:`predict`'s rows with every grid load simulated.
 
-    ``outcome_sink`` receives each point's per-user outcome lines in grid
-    order; user ids restart at 0 for every point.
+    Before the first batch come each load's trace checks, then ``jobs``'s
+    cap, then the floor, so a config error (exit 2) precedes a floor guard
+    (exit 3) and neither starts a batch. ``outcome_sink`` receives each
+    point's per-user outcome lines in grid order; user ids restart at 0 for
+    every point.
     """
     # receiver loads traffic and _kernels too; pool workers forked below inherit them
     from . import receiver  # noqa: F401
+    from .traffic import check_trace
 
-    params = floor_params(cfg.system)
-    # a catalog the floor cannot use fails here, before the first batch; the
-    # Poisson mixture of each load still runs after the grid
-    prepare_floor(cfg.system, cfg.distribution, catalog)
+    horizon = _batch_horizon(cfg.system)
+    for g in cfg.load_grid:
+        check_trace(cfg.system, cfg.distribution, g, horizon)
     points = [(g, point_seed(cfg.seed, i)) for i, g in enumerate(cfg.load_grid)]
+    # a pool forks its workers at the first submission, after the floors
     with _batch_executor(jobs) as executor:
+        floor = predict(cfg, catalog)
         totals = _run_grid(cfg, points, executor, jobs, outcome_sink)
     rows = []
-    for g, (users, lost) in zip(cfg.load_grid, totals):
+    for row, (users, lost) in zip(floor.rows, totals):
         lo, hi = wilson_interval(lost, users, 0.95)
-        analytic = plr_floor(g, cfg.system, cfg.distribution, catalog)
-        rows.append(
-            PlrRow(load=g, users=users, lost=lost, plr_sim=lost / users, ci_lo=lo, ci_hi=hi, plr_analytic=analytic)
-        )
-    return PlrCurve(rows=tuple(rows), params=params)
+        rows.append(replace(row, users=users, lost=lost, plr_sim=lost / users, ci_lo=lo, ci_hi=hi))
+    return PlrCurve(rows=tuple(rows), params=floor.params)
 
 
 def predict(

@@ -87,15 +87,9 @@ class TrafficTrace:
                 stream.write(f"{u},{deg},{r},{self.rep_start[base + r]:.12g}\n")
 
 
-def generate_trace(
-    cfg: SystemConfig,
-    dist: DegreeDistribution,
-    load: float,
-    horizon: float,
-    rng: np.random.Generator,
-) -> TrafficTrace:
-    """Poisson arrivals of intensity ``load`` over ``[0, horizon]`` with
-    independently sampled degrees and replica placements."""
+def check_trace(cfg: SystemConfig, dist: DegreeDistribution, load: float, horizon: float) -> None:
+    """The checks :func:`generate_trace` makes before its first draw; each
+    failure raises a :class:`ModelError`."""
     if not (math.isfinite(load) and load > 0):
         raise ModelError(f"load must be finite and positive, got {load}")
     if not math.isfinite(horizon):
@@ -108,6 +102,17 @@ def generate_trace(
             f"horizon {horizon} shorter than one receiver window {cfg.window_length}"
         )
 
+
+def generate_trace(
+    cfg: SystemConfig,
+    dist: DegreeDistribution,
+    load: float,
+    horizon: float,
+    rng: np.random.Generator,
+) -> TrafficTrace:
+    """Poisson arrivals of intensity ``load`` over ``[0, horizon]`` with
+    independently sampled degrees and replica placements."""
+    check_trace(cfg, dist, load, horizon)
     parts = []
     last = 0.0
     scale = 1.0 / load

@@ -834,28 +834,49 @@ _CATALOG_ROW = _PROFILES.flatmap(lambda profile: st.tuples(
     st.one_of(st.integers(len(profile), len(profile) + 3), st.integers(-1, 10**3)),
     st.one_of(st.integers(1, 100), st.integers(-1, 10**400)),
 ))
-IRREGULAR_CONFIG = CONFIG_TEXT.replace("degree = 2 1.0", "degree = 2 0.5\ndegree = 3 0.3\ndegree = 4 0.2")
+# at load 8 the mixture reaches m = 270, so a row of about 100 to 170 users
+# can overflow there only, after its terms were set up
+IRREGULAR_CONFIG = (
+    CONFIG_TEXT.replace("degree = 2 1.0", "degree = 2 0.5\ndegree = 3 0.3\ndegree = 4 0.2")
+    .replace("load_grid = 0.2 0.3", "load_grid = 0.2 0.3 8")
+)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=st.lists(_CATALOG_ROW, min_size=1, max_size=2))
-def test_predict_over_catalog_rows_ends_in_an_exit_code(tmp_path, rows):
+def test_predict_over_catalog_rows_ends_in_an_exit_code(tmp_path, monkeypatch, rows):
     # n_v = 22 here; the rows reach 10**7 users of a degree, 1000 sets and
-    # a count of 10**400, past every float and term cap of the floor
+    # a count of 10**400, past every float and term cap of the floor. sweep
+    # runs each row too, with one stand-in batch per load that meets the
+    # stop rule, and must end as predict does, with no batch when it fails
     config = tmp_path / "irregular.cfg"
     config.write_text(IRREGULAR_CONFIG)
     catalog = tmp_path / "cat.txt"
     catalog.write_text("".join(f"r{i} {','.join(map(str, profile))} {mu} {count}\n"
                                for i, (profile, mu, count) in enumerate(rows)))
-    out = tmp_path / "f.csv"
-    out.unlink(missing_ok=True)
-    t0 = time.perf_counter()
-    rc = cli_main(["predict", str(config), "--catalog", str(catalog), "--out", str(out)])
-    assert time.perf_counter() - t0 < 10.0
-    assert rc in (0, 2, 3)
-    event(f"exit {rc}")
-    assert out.exists() == (rc == 0)
-    if rc == 0:
-        floors = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[2:]]
-        assert all(0.0 <= f <= 1.0 for f in floors), floors
+    batches = []
+
+    def fixed_batch(*args):
+        batches.append(args)
+        return harness.BatchResult(users=10_000, lost=1, n_trace_users=10_000)
+
+    monkeypatch.setattr(harness, "_simulate_batch", fixed_batch)
+    codes, floors = [], []
+    for command in ("predict", "sweep"):
+        out = tmp_path / f"{command}.csv"
+        out.unlink(missing_ok=True)
+        t0 = time.perf_counter()
+        rc = cli_main([command, str(config), "--catalog", str(catalog), "--out", str(out)])
+        assert time.perf_counter() - t0 < 10.0
+        assert rc in (0, 2, 3)
+        assert out.exists() == (rc == 0)
+        codes.append(rc)
+        lines = out.read_text().splitlines()[2:] if rc == 0 else []
+        floors.append([line.rsplit(",", 1)[1] for line in lines])
+    event(f"exit {codes[0]}")
+    assert codes[1] == codes[0]
+    assert floors[1] == floors[0]
+    assert len(batches) == (3 if codes[1] == 0 else 0)
+    if codes[0] == 0:
+        assert all(0.0 <= float(f) <= 1.0 for f in floors[0]), floors[0]

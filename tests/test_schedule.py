@@ -172,17 +172,51 @@ def test_at_most_jobs_batches_unreduced(jobs, shortfall_reduced):
 
 
 @pytest.mark.parametrize(
-    "row", ["x 0,171,0,0 2 1", f"x 0,2,0,0 2 {10**400}"], ids=["171-users", "huge-iso-count"]
+    "config,row",
+    [
+        ("ira2_tf200_r15", "x 0,171,0,0 2 1"),
+        ("ira2_tf200_r15", f"x 0,2,0,0 2 {10**400}"),
+        ("irr1_tf200_r15", "x 0,170,0,0 2 1"),
+    ],
+    ids=["171-users", "huge-iso-count", "170-users-in-the-mixture"],
 )
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_floor_overflow_ends_the_sweep_before_the_first_batch(tmp_path, started, row, jobs, capsys):
-    # 171! and 10**400 are no floats; the floor's terms are set up before
-    # the grid, so no batch runs for a floor that cannot be computed
+def test_floor_overflow_ends_the_sweep_before_the_first_batch(tmp_path, started, config, row, jobs, capsys):
+    # 171! and 10**400 are no floats, and 170 users overflow once the
+    # mixture reaches m = 171, which irr1 does at G = 0.75 only; every
+    # load's floor is computed before the grid, so no batch runs for a floor
+    # that cannot be computed
+    cfg = tmp_path / "c.cfg"
+    text = (CONFIGS / f"{config}.cfg").read_text()
+    cfg.write_text(text.replace("min_users_per_point = 200000", "min_users_per_point = 10000"))
     catalog = tmp_path / "cat.txt"
     catalog.write_text(row + "\n")
-    argv = ["sweep", str(CONFIGS / "ira2_tf200_r15.cfg"), "--jobs", str(jobs),
-            "--catalog", str(catalog), "--out", str(tmp_path / "s.csv")]
+    argv = ["sweep", str(cfg), "--jobs", str(jobs), "--catalog", str(catalog), "--out", str(tmp_path / "s.csv")]
     assert cli.main(argv) == 3
     assert "float64 range" in capsys.readouterr().err
+    assert started.value == 0
+    assert not (tmp_path / "s.csv").exists()
+
+
+SHORT_CONFIG = """\
+snr_db = 6.0
+rate = 1.5
+vf_span = 20
+degree = 2 1.0
+load_grid = 0.2 1e6
+min_users_per_point = 10000
+"""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_trace_cap_ends_the_sweep_before_the_first_batch(tmp_path, started, jobs, capsys):
+    # a batch at load 1e6 would hold about 4e9 users, past the trace cap;
+    # every load's trace is checked before the grid, and before the floor,
+    # whose mixture at that load would end in exit 3
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(SHORT_CONFIG)
+    argv = ["sweep", str(cfg), "--jobs", str(jobs), "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 2
+    assert "users" in capsys.readouterr().err
     assert started.value == 0
     assert not (tmp_path / "s.csv").exists()
