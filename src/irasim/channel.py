@@ -12,14 +12,12 @@ segments, i.e. in the limit of infinitely fine symbol resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
-from .model import TimeInterval
+from .model import TimeInterval, _Record
 
 
-@dataclass(frozen=True)
-class InterferenceTimeline:
+class InterferenceTimeline(_Record):
     """Contiguous segments ``(interval, interferer_count)`` covering a replica."""
 
     segments: tuple[tuple[TimeInterval, int], ...]

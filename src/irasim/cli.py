@@ -14,7 +14,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .errorfloor import (
     _MAX_ENUM_PERIODS,
@@ -35,7 +34,7 @@ def _add_common_sim_args(p: argparse.ArgumentParser) -> None:
 
 
 def _apply_seed(cfg, seed):
-    return cfg if seed is None else replace(cfg, seed=seed)
+    return cfg if seed is None else cfg._replace(seed=seed)
 
 
 def _catalog(path):
@@ -81,7 +80,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     # a one-point sweep: row 0 draws from point_seed(seed, 0)
-    cfg = replace(_apply_seed(parse_config_file(args.config), args.seed), load_grid=(args.load,))
+    cfg = _apply_seed(parse_config_file(args.config), args.seed)._replace(load_grid=(args.load,))
     sink = None
     if args.dump_outcomes:
         sink = _open_out(args.dump_outcomes)

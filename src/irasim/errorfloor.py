@@ -28,11 +28,10 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import combinations
 
 from .channel import clean_fraction, symbol_mi
-from .model import DegreeDistribution, ModelError, SystemConfig
+from .model import DegreeDistribution, ModelError, SystemConfig, _Record
 
 TAIL_EPS = 1e-15
 TERM_REL_EPS = 1e-13
@@ -69,8 +68,7 @@ class CollisionChannelRegimeWarning(UserWarning):
     a replica and the vulnerable period saturates at two packet durations."""
 
 
-@dataclass(frozen=True)
-class CollisionPattern:
+class CollisionPattern(_Record):
     """One unresolvable collision pattern.
 
     ``profile[i]`` counts the users of degree ``i + 1`` taking part;
@@ -116,8 +114,7 @@ class CollisionPattern:
         return [l for l, c in enumerate(self.profile, start=1) for _ in range(c)]
 
 
-@dataclass(frozen=True)
-class FloorParams:
+class FloorParams(_Record):
     """Derived floor geometry for one scenario."""
 
     phi: float

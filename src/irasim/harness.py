@@ -36,10 +36,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, replace
 
 from .errorfloor import CollisionPattern, FloorParams, floor_params, plr_floor
-from .model import DegreeDistribution, ModelError, SystemConfig, validate_config
+from .model import DegreeDistribution, ModelError, SystemConfig, _Record, validate_config
 
 # ``Executor`` and ``Future`` below name concurrent.futures types, imported
 # only where an executor is built
@@ -81,8 +80,7 @@ def expected_batch_users(system: SystemConfig, load: float) -> float:
     return load * (BATCH_VF_COUNT - 1) * system.vf_span
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     system: SystemConfig
     distribution: DegreeDistribution
     load_grid: tuple[float, ...]
@@ -121,8 +119,7 @@ class ExperimentConfig:
         validate_config(self.system, self.distribution)
 
 
-@dataclass(frozen=True)
-class PlrRow:
+class PlrRow(_Record):
     load: float
     users: int
     lost: int
@@ -132,8 +129,7 @@ class PlrRow:
     plr_analytic: float
 
 
-@dataclass(frozen=True)
-class PlrCurve:
+class PlrCurve(_Record):
     rows: tuple[PlrRow, ...]
     params: FloorParams
     analytic_only: bool = False
@@ -207,8 +203,7 @@ def _batch_horizon(system: SystemConfig) -> float:
     return BATCH_VF_COUNT * system.vf_span + 2.0 * system.window_length
 
 
-@dataclass(frozen=True)
-class BatchResult:
+class BatchResult(_Record):
     users: int
     lost: int
     n_trace_users: int
@@ -376,7 +371,7 @@ def sweep(
     rows = []
     for row, (users, lost) in zip(floor.rows, totals):
         lo, hi = wilson_interval(lost, users, 0.95)
-        rows.append(replace(row, users=users, lost=lost, plr_sim=lost / users, ci_lo=lo, ci_hi=hi))
+        rows.append(row._replace(users=users, lost=lost, plr_sim=lost / users, ci_lo=lo, ci_hi=hi))
     return PlrCurve(rows=tuple(rows), params=floor.params)
 
 
@@ -406,7 +401,7 @@ def predict(
 _REQUIRED_KEYS = ("snr_db", "rate", "vf_span")
 
 #: Scalar keys of :meth:`SystemConfig.from_db` and of :class:`ExperimentConfig`
-#: with their types; a key a file leaves out takes the dataclass default.
+#: with their types; a key a file leaves out takes the record's default.
 _SYSTEM_KEYS = {"snr_db": float, "rate": float, "vf_span": float, "window_span": float, "window_step": float}
 _EXPERIMENT_KEYS = {"min_users_per_point": int, "max_lost_events": int, "seed": int, "outputs": str}
 

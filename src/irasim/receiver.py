@@ -28,7 +28,6 @@ skips every MI evaluation that one active interferer already decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -45,17 +44,17 @@ from .model import SystemConfig, TimeInterval
 from .traffic import TrafficTrace
 
 
-@dataclass
 class ReceiverState:
     """Mutable receiver bookkeeping over one trace."""
 
-    window: TimeInterval
-    rep_start: np.ndarray
-    rep_owner: np.ndarray
-    vf_end: np.ndarray
-    active: np.ndarray
-    decoded_users: set[int] = field(default_factory=set)
-    lost_users: set[int] = field(default_factory=set)
+    def __init__(self, window: TimeInterval, rep_start, rep_owner, vf_end, active) -> None:
+        self.window = window
+        self.rep_start = rep_start
+        self.rep_owner = rep_owner
+        self.vf_end = vf_end
+        self.active = active
+        self.decoded_users: set[int] = set()
+        self.lost_users: set[int] = set()
 
     def fully_windowed(self, i: int) -> bool:
         s = self.rep_start[i]

@@ -8,11 +8,9 @@ independently seeded generators may produce traces concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import DegreeDistribution, ModelError, SystemConfig, validate_config
+from .model import DegreeDistribution, ModelError, SystemConfig, _Record, validate_config
 
 
 class HorizonTooShort(ModelError):
@@ -52,8 +50,7 @@ def _relative_offsets(
     return y + np.arange(1, degree)
 
 
-@dataclass
-class TrafficTrace:
+class TrafficTrace(_Record):
     """A generated trace in flat array form.
 
     ``arrival`` and ``degree`` are per-user (sorted by arrival); replica start

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -312,7 +311,7 @@ class TestTermCache:
         # the same names with one count changed: a key without the rows'
         # contents would hand the file's catalog the builtin's terms
         path = tmp_path / "cat.txt"
-        write_catalog(path, [replace(s, iso_count=s.iso_count + 1) if s.name == "d223-m3" else s
+        write_catalog(path, [s._replace(iso_count=s.iso_count + 1) if s.name == "d223-m3" else s
                              for s in builtin_catalog()])
         loaded = load_catalog(path)
         errorfloor._term_rows.cache_clear()

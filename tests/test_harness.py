@@ -1,7 +1,6 @@
 import io
 import math
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -245,7 +244,7 @@ class TestConfigFile:
 def one_point(cfg, load, **kwargs):
     """``(users, lost)`` of a one-point sweep at ``load``; it draws from
     ``point_seed(cfg.seed, 0)``."""
-    row = sweep(replace(cfg, load_grid=(load,)), **kwargs).rows[0]
+    row = sweep(cfg._replace(load_grid=(load,)), **kwargs).rows[0]
     return row.users, row.lost
 
 
@@ -301,7 +300,7 @@ class TestRunPoint:
 
     def test_outcome_dump(self, fast_cfg):
         sink = io.StringIO()
-        users, lost = one_point(replace(fast_cfg, seed=7), 0.3, outcome_sink=sink)
+        users, lost = one_point(fast_cfg._replace(seed=7), 0.3, outcome_sink=sink)
         lines = sink.getvalue().strip().split("\n")
         assert len(lines) == users
         n_lost = sum(1 for ln in lines if ln.split(",")[2] == "lost")

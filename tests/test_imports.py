@@ -1,4 +1,5 @@
-"""The analytic path loads no numpy, and the layer entry points that the
+"""The analytic path loads no numpy, no process pool and no record
+machinery of the standard library, and the layer entry points that the
 benchmark's traced runs wrap stay where their callers look them up."""
 
 import functools
@@ -15,6 +16,9 @@ from irasim import _kernels, cli, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 SIMULATION_MODULES = ("numpy", "irasim.traffic", "irasim.receiver", "irasim._kernels")
+#: The standard library's data classes load the first two; ``typing`` costs
+#: an interpreter without site hooks about 4 ms.
+RECORD_MODULES = ("dataclasses", "inspect", "typing")
 
 #: Every name ``irasim`` exported when its ``__init__`` imported them eagerly,
 #: with the module that defines it.
@@ -52,11 +56,12 @@ seed = 5
 """
 
 
-def loaded_after(code: str, *argv: str, modules=SIMULATION_MODULES) -> list[str]:
-    """The ``modules`` present once ``code`` ran in a fresh interpreter."""
+def loaded_after(code: str, *argv: str, modules=SIMULATION_MODULES, flags=()) -> list[str]:
+    """The ``modules`` present once ``code`` ran in a fresh interpreter
+    started with the interpreter options ``flags``."""
     probe = f"{code}\nimport sys\nprint(' '.join(m for m in {tuple(modules)!r} if m in sys.modules))\n"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *flags, "-c", probe, *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
 
@@ -86,6 +91,30 @@ def test_predict_loads_no_process_pool(tmp_path):
     assert loaded_after(pool, modules=modules) == ["concurrent.futures", "concurrent.futures.process"]
     inline = "from irasim import harness\nharness._batch_executor(1).submit(int)"
     assert loaded_after(inline, modules=modules) == ["concurrent.futures"]
+
+
+def test_analytic_commands_load_no_record_machinery(tmp_path):
+    # -S: without site hooks, since a .pth file may preload typing and hide
+    # a regression
+    run = "import sys\nfrom irasim import cli\nassert cli.main(sys.argv[1:]) == 0"
+    predict = ["predict", str(ROOT / "configs" / "irr1_tf200_r15.cfg"), "--out", str(tmp_path / "f.csv")]
+    verify = ["verify-ucp", "--min-periods", "6", "--max-periods", "6"]
+    for code, argv in (("import irasim.cli", []), (run, predict), (run, verify)):
+        assert loaded_after(code, *argv, modules=RECORD_MODULES, flags=("-S",)) == [], argv
+    # the probe does see them once loaded
+    assert loaded_after("import dataclasses, typing", modules=RECORD_MODULES, flags=("-S",)) == list(RECORD_MODULES)
+
+
+def test_sweep_loads_no_dataclasses(tmp_path):
+    # with site hooks, as numpy needs site-packages; one stand-in batch per point
+    code = (
+        "import sys\n"
+        "from irasim import cli, harness\n"
+        "harness._simulate_batch = lambda *args: harness.BatchResult(10**6, 0, 10**6)\n"
+        "assert cli.main(['sweep', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+    )
+    cfg = str(ROOT / "configs" / "ira2_tf100_r15.cfg")
+    assert loaded_after(code, cfg, str(tmp_path / "s.csv"), modules=("numpy", "dataclasses")) == ["numpy"]
 
 
 def test_sweep_loads_the_simulation_before_the_pool():

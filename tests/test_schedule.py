@@ -6,7 +6,6 @@ import io
 import math
 import multiprocessing
 from concurrent.futures import Executor
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -81,7 +80,7 @@ def test_expected_batch_users_is_the_mean_count():
 def test_no_discarded_batch_on_the_paper_grid(started):
     # five loads of ira2_tf200_r15 at 20k users: 24 batches are reduced, and
     # every worker count runs exactly those
-    cfg = replace(parse_config_file(CONFIGS / "ira2_tf200_r15.cfg"), min_users_per_point=20_000)
+    cfg = parse_config_file(CONFIGS / "ira2_tf200_r15.cfg")._replace(min_users_per_point=20_000)
     outputs = []
     for jobs in (1, 2, 3):
         started.value = 0
