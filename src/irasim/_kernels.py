@@ -2,7 +2,7 @@
 
 The sweep is compiled with numba when available and runs the identical
 code as plain Python otherwise (same results). Both variants are always
-exported so the benchmark under benchmarks/ can compare them directly:
+exported, so that perfbench's ``oracle_problems`` can compare them directly:
 
 * ``sic_sweep``          active implementation (compiled when available)
 * ``sic_sweep_python``   plain-Python build of the same code

@@ -31,7 +31,7 @@ import warnings
 from itertools import combinations
 
 from .channel import clean_fraction, symbol_mi
-from .model import DegreeDistribution, ModelError, SystemConfig, _Record
+from .model import DegreeDistribution, ModelError, SystemConfig, _Record, validate_config
 
 TAIL_EPS = 1e-15
 TERM_REL_EPS = 1e-13
@@ -101,6 +101,13 @@ class CollisionPattern(_Record):
             )
         if self.iso_count < 1:
             raise InfeasiblePattern("configuration count must be at least 1")
+        # a user's replicas occupy distinct periods
+        top = max(l for l, cnt in enumerate(self.profile, start=1) if cnt)
+        if top > self.num_sets:
+            raise InfeasiblePattern(
+                f"pattern {self.name}: a degree-{top} user needs {top} distinct periods, "
+                f"but the pattern occupies {self.num_sets}"
+            )
 
     @property
     def num_users(self) -> int:
@@ -249,17 +256,6 @@ def pattern_term(pattern: CollisionPattern, n_v: int, dist: DegreeDistribution):
     return at
 
 
-def _check_distinct_periods(pattern: CollisionPattern) -> None:
-    """A user's replicas occupy distinct periods, so no degree of the profile
-    may exceed ``num_sets``."""
-    top = max(l for l, cnt in enumerate(pattern.profile, start=1) if cnt)
-    if top > pattern.num_sets:
-        raise InfeasiblePattern(
-            f"pattern {pattern.name}: a degree-{top} user needs {top} distinct periods, "
-            f"but the pattern occupies {pattern.num_sets}"
-        )
-
-
 def _clamp(pr: float, diagnostics: dict | None) -> float:
     """Cap one per-pattern term at 1, counting each cap in ``clamped_terms``;
     every factor of a term is non-negative, so no lower cap is needed."""
@@ -326,12 +322,13 @@ def _floor_sum(
     sums them and mixes the sum over the Poisson number ``m`` of users per
     virtual-frame span.
 
-    A pattern is feasible when every degree of its profile has mass and its
-    replica-collision sets fit the ``n_v`` vulnerable periods; a feasible
-    pattern whose user needs more distinct periods than the pattern occupies
-    is rejected. With ``phi = 0``, ``n_v`` is 0 and no pattern fits. The
-    floor is 0 when no pattern is feasible.
+    The pair ``(cfg, dist)`` is checked first (:func:`validate_config`). A
+    pattern is feasible when every degree of its profile has mass and its
+    replica-collision sets fit the ``n_v`` vulnerable periods. With
+    ``phi = 0``, ``n_v`` is 0 and no pattern fits. The floor is 0 when no
+    pattern is feasible.
     """
+    validate_config(cfg, dist)
     if catalog is None:
         catalog = builtin_catalog()
     if not catalog:
@@ -341,8 +338,6 @@ def _floor_sum(
         s for s in catalog
         if s.num_sets <= params.n_v and all(dist.prob(l) > 0.0 for l, cnt in enumerate(s.profile, start=1) if cnt)
     )
-    for s in feasible:
-        _check_distinct_periods(s)
     if diagnostics is not None:
         diagnostics["phi"] = params.phi
         diagnostics["n_v"] = params.n_v
@@ -602,7 +597,6 @@ def load_catalog(path) -> tuple[CollisionPattern, ...]:
             try:
                 profile = tuple(int(x) for x in profile_s.split(","))
                 pattern = CollisionPattern(name, profile, int(mu_s), int(c_s))
-                _check_distinct_periods(pattern)
                 if pattern.num_users > MAX_POISSON_TERMS:
                     raise FloorError(f"{pattern.num_users} users, more than the {MAX_POISSON_TERMS} "
                                      "terms of the Poisson mixture")

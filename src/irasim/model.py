@@ -135,18 +135,6 @@ class SystemConfig(_Record):
     window_step: float = 0.1
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    @classmethod
-    def from_db(cls, snr_db: float, rate: float, vf_span: float, **kwargs) -> "SystemConfig":
-        """Build a config from an SNR quoted in dB."""
-        try:
-            snr_linear = 10.0 ** (snr_db / 10.0)
-        except OverflowError:
-            raise InvalidPhysicalParameter(f"snr_db {snr_db} overflows the linear SNR") from None
-        return cls(snr_linear=snr_linear, rate=rate, vf_span=vf_span, **kwargs)
-
-    def validate(self) -> None:
         if not (math.isfinite(self.snr_linear) and self.snr_linear > 0):
             raise InvalidPhysicalParameter(f"snr_linear must be positive, got {self.snr_linear}")
         if not (math.isfinite(self.rate) and self.rate > 0):
@@ -164,6 +152,15 @@ class SystemConfig(_Record):
             )
         if not (0.0 < self.window_step <= self.window_span):
             raise InvalidPhysicalParameter(f"window_step must lie in (0, window_span], got {self.window_step}")
+
+    @classmethod
+    def from_db(cls, snr_db: float, rate: float, vf_span: float, **kwargs) -> "SystemConfig":
+        """Build a config from an SNR quoted in dB."""
+        try:
+            snr_linear = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            raise InvalidPhysicalParameter(f"snr_db {snr_db} overflows the linear SNR") from None
+        return cls(snr_linear=snr_linear, rate=rate, vf_span=vf_span, **kwargs)
 
     @property
     def snr_db(self) -> float:
@@ -190,18 +187,6 @@ class DegreeDistribution(_Record):
     def __post_init__(self) -> None:
         norm = tuple(sorted((int(d), float(p)) for d, p in self.entries))
         object.__setattr__(self, "entries", norm)
-        self.validate()
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "DegreeDistribution":
-        return cls(tuple(pairs))
-
-    @classmethod
-    def regular(cls, degree: int) -> "DegreeDistribution":
-        """Every user transmits exactly ``degree`` replicas."""
-        return cls(((degree, 1.0),))
-
-    def validate(self) -> None:
         if not self.entries:
             raise NonNormalizedDistribution("degree distribution has no entries")
         degrees = [d for d, _ in self.entries]
@@ -215,6 +200,15 @@ class DegreeDistribution(_Record):
         total = math.fsum(p for _, p in self.entries)
         if abs(total - 1.0) > PROB_TOL:
             raise NonNormalizedDistribution(f"degree probabilities sum to {total!r}, expected 1")
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "DegreeDistribution":
+        return cls(tuple(pairs))
+
+    @classmethod
+    def regular(cls, degree: int) -> "DegreeDistribution":
+        """Every user transmits exactly ``degree`` replicas."""
+        return cls(((degree, 1.0),))
 
     @property
     def d_m(self) -> int:
@@ -241,13 +235,10 @@ class DegreeDistribution(_Record):
 
 
 def validate_config(cfg: SystemConfig, dist: DegreeDistribution) -> None:
-    """Re-check all invariants of a (config, distribution) pair.
-
-    Raises :class:`InvalidPhysicalParameter`, :class:`NonNormalizedDistribution`
-    or :class:`DegreeTooLargeForVF`; returns ``None`` when everything holds.
+    """Check that a (config, distribution) pair fits together: the largest
+    degree fits the virtual frame. Each record validated itself when it was
+    built. Raises :class:`DegreeTooLargeForVF`; returns ``None`` otherwise.
     """
-    cfg.validate()
-    dist.validate()
     if dist.d_m > cfg.vf_span:
         raise DegreeTooLargeForVF(
             f"{dist.d_m} replicas cannot fit a virtual frame of {cfg.vf_span} packet durations"

@@ -62,7 +62,7 @@ class ReceiverState:
 
 
 def make_state(trace: TrafficTrace, cfg: SystemConfig) -> ReceiverState:
-    rep_start, rep_owner, _ = _sorted_replicas(trace)
+    rep_start, rep_owner, _ = _sorted_replicas(trace.rep_start, trace.degree)
     first = trace.arrival[0] if trace.n_users else 0.0
     w0 = first - cfg.window_length
     return ReceiverState(
@@ -162,15 +162,16 @@ def _run_reference(trace: TrafficTrace, cfg: SystemConfig) -> tuple[np.ndarray, 
     return decoded, lost
 
 
-def _sorted_replicas(trace: TrafficTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replica starts in ascending order, the owner of each sorted replica,
-    and the sorted position of every replica in trace (user-major) order."""
-    order = np.argsort(trace.rep_start, kind="stable")
-    rep_start = trace.rep_start[order]
-    rep_owner = np.repeat(np.arange(trace.n_users, dtype=np.int32), trace.degree)[order]
-    pos = np.empty(trace.n_replicas, dtype=np.int32)
-    pos[order] = np.arange(trace.n_replicas, dtype=np.int32)
-    return rep_start, rep_owner, pos
+def _sorted_replicas(rep_start, degree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort replica starts given user-major, user ``u`` owning ``degree[u]``
+    of them: the starts in ascending order, the owner of each sorted
+    replica, and the sorted position of every replica in user-major order."""
+    order = np.argsort(rep_start, kind="stable")
+    n_rep = rep_start.shape[0]
+    rep_owner = np.repeat(np.arange(degree.shape[0], dtype=np.int32), degree)[order]
+    pos = np.empty(n_rep, dtype=np.int32)
+    pos[order] = np.arange(n_rep, dtype=np.int32)
+    return rep_start[order], rep_owner, pos
 
 
 class SweepInputs(NamedTuple):
@@ -186,7 +187,7 @@ class SweepInputs(NamedTuple):
     n_steps: int  # steps of the grid
     step_len: float  # window advance per step
     win_len: float  # window length
-    mi_table: np.ndarray  # symbol MI under 0..N interferers, N = max(nb_hi - nb_lo) of the whole trace
+    mi_table: np.ndarray  # symbol MI under 0..N interferers, N = max(nb_hi - nb_lo)
     rate: float  # code rate
     nb_lo: np.ndarray  # replicas nb_lo[i]:nb_hi[i] start strictly less than
     nb_hi: np.ndarray  # one packet away from replica i (one packet away only touches)
@@ -195,12 +196,21 @@ class SweepInputs(NamedTuple):
     f_hi: np.ndarray  # replica i; empty (0:0) where no other replica is within one packet
 
 
-def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
+def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig, users: np.ndarray | None = None) -> SweepInputs:
     """The sweep's arguments for one non-empty trace: its replicas, the
     receiver's step grid, the MI levels, the fatal radius and the fatal
-    ranges."""
-    rep_start, rep_owner, pos = _sorted_replicas(trace)
-    vf_end = np.ascontiguousarray(trace.arrival + cfg.vf_span)
+    ranges. With a mask ``users``, which must select at least one user, they
+    are those of the selected users alone, on the step grid of the whole
+    trace: its window start ``w0``, and enough steps to classify them."""
+    arrival, degree, rep_start, user_ptr = trace.arrival, trace.degree, trace.rep_start, trace.rep_ptr
+    if users is not None:
+        rep_start = rep_start[np.repeat(users, degree)]
+        arrival = arrival[users]
+        degree = degree[users]
+        user_ptr = np.zeros(degree.shape[0] + 1, dtype=np.int64)
+        np.cumsum(degree, out=user_ptr[1:])
+    rep_start, rep_owner, pos = _sorted_replicas(rep_start, degree)
+    vf_end = arrival + cfg.vf_span
     w0 = float(trace.arrival[0]) - cfg.window_length
     # int32 halves the index arrays the sweep holds next to its lists; on
     # dense traces that sets the peak memory
@@ -222,7 +232,7 @@ def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig) -> SweepInputs:
     return SweepInputs(
         rep_start=rep_start,
         rep_owner=rep_owner,
-        user_ptr=np.ascontiguousarray(trace.rep_ptr),
+        user_ptr=np.ascontiguousarray(user_ptr),
         rep_of_user=pos,
         vf_end=vf_end,
         w0=w0,
@@ -249,8 +259,9 @@ _RANGE_BLOCK = 8192
 def _fatal_radius(rep_start, mi_table, phi: float, rate: float) -> float:
     """Radius of the fatal pre-test of :mod:`irasim._kernels`, or 0.0 to
     switch it off. The margin and the bound it must dominate are derived in
-    that module's docstring; as ``S`` and ``N`` there only fall on a subset
-    of the replicas, a trace's radius holds for any subset of its users."""
+    that module's docstring. It is computed for the replicas it is used on;
+    for a subset of a trace's users, ``S`` and ``N`` there can only fall, so
+    the test can only switch on, at the same radius ``phi - margin``."""
     m0, m1 = mi_table[0], mi_table[1]
     if not (phi > 0.0 and m0 > m1):
         return 0.0
@@ -268,10 +279,9 @@ _MAX_ROUNDS = 64
 
 
 #: Smallest share of users :func:`peel` must resolve for the sweep to run on
-#: a copy of the rest's inputs. The users it resolves are the ones the sweep
-#: handles fastest, so below this share the pre-pass and the copy cost about
-#: what they save, and the copy, made next to the full inputs, raises peak
-#: memory on dense traces.
+#: the rest alone, whose inputs :func:`sweep_inputs` then builds afresh. The
+#: users it resolves are the ones the sweep handles fastest, so below this
+#: share the pre-pass and the second build cost about what they save.
 _MIN_PEELED_SHARE = 1 / 4
 
 #: Longest step grid :func:`peel` lays out as an array. On a longer grid it
@@ -328,7 +338,11 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     The sweep run on the tainted users alone classifies them as before:
     neither kind of user has the other's replicas in its neighbour ranges,
     so removing the untainted ones leaves the order of the stack operations
-    on tainted replicas, and every MI they see, unchanged.
+    on tainted replicas, and every MI they see, unchanged. Their inputs come
+    from :func:`sweep_inputs` on their replicas alone: the ``searchsorted``
+    ranges there hold the same replicas, as the symmetry guard below leaves
+    no untainted replica in a tainted one's range; the grid keeps ``w0`` and
+    ``step_len``; and the exact fatal pre-test can only switch on.
     """
     rep_start, rep_owner, nb_lo, nb_hi = geom.rep_start, geom.rep_owner, geom.nb_lo, geom.nb_hi
     n_users = geom.vf_end.shape[0]
@@ -421,30 +435,6 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     return tainted, decoded, geom.w0 + np.where(decoded, decode_at, expiry) * geom.step_len
 
 
-def _restrict(geom: SweepInputs, keep: np.ndarray) -> SweepInputs:
-    """The :func:`sweep_inputs` of the users in mask ``keep`` alone, with the
-    whole trace's step grid, MI levels and radius. No replica of a kept user
-    may have a dropped one in its neighbour range, so the kept neighbour
-    ranges, and the fatal ranges inside them, map onto the kept replicas."""
-    keep_rep = keep[geom.rep_owner]
-    rank = np.zeros(keep_rep.shape[0] + 1, dtype=np.int32)  # kept replicas before each index
-    np.cumsum(keep_rep, out=rank[1:])
-    degree = np.diff(geom.user_ptr)
-    ptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
-    np.cumsum(degree[keep], out=ptr[1:])
-    return geom._replace(
-        rep_start=geom.rep_start[keep_rep],
-        rep_owner=(np.cumsum(keep, dtype=np.int32) - 1)[geom.rep_owner[keep_rep]],
-        user_ptr=ptr,
-        rep_of_user=rank[geom.rep_of_user[np.repeat(keep, degree)]],
-        vf_end=geom.vf_end[keep],
-        nb_lo=rank[geom.nb_lo[keep_rep]],
-        nb_hi=rank[geom.nb_hi[keep_rep]],
-        f_lo=rank[geom.f_lo[keep_rep]],
-        f_hi=rank[geom.f_hi[keep_rep]],
-    )
-
-
 def _sweep(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray]:
     """The sweep, fatal pre-test included, on the users of ``geom``."""
     decoded, decided_w, n_done, _ = _kernels.sic_sweep(*geom)
@@ -466,11 +456,11 @@ def run_sic_kernel(trace: TrafficTrace, cfg: SystemConfig) -> tuple[np.ndarray, 
     peeled = peel(geom)
     if peeled is None:
         return _sweep(geom)
+    del geom  # the full inputs go before the rest's are built
     rest, peeled_decoded, peeled_w = peeled
-    geom = _restrict(geom, rest)  # drops the full arrays before the sweep
-    swept_decoded, swept_w = _sweep(geom)
     decoded = np.empty(trace.n_users, dtype=bool)
     decided_w = np.empty(trace.n_users)
-    decoded[rest], decided_w[rest] = swept_decoded, swept_w
     decoded[~rest], decided_w[~rest] = peeled_decoded, peeled_w
+    if rest.any():
+        decoded[rest], decided_w[rest] = _sweep(sweep_inputs(trace, cfg, rest))
     return decoded, decided_w

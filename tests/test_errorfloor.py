@@ -32,7 +32,7 @@ from irasim.errorfloor import (
     write_catalog,
 )
 from irasim.harness import parse_config_file
-from irasim.model import DegreeDistribution, SystemConfig
+from irasim.model import DegreeDistribution, DegreeTooLargeForVF, SystemConfig
 
 from oracles import (
     count_configurations_labelled,
@@ -164,16 +164,11 @@ class TestProbUserInPattern:
         assert _clamp(raw, d_new) == 1.0
         assert d_new == {"clamped_terms": 1}
 
-    def test_degree_above_num_sets_rejected(self, cfg_tf200_r15, dist_x3):
-        # two degree-3 users cannot share two periods: each needs three; all
-        # floor forms reject the pattern (plr_regular once summed it)
-        pair = (CollisionPattern("x", (0, 0, 2), 2, 1),)
-        for cfg, n_v in ((SystemConfig.from_db(6.0, 2.0, 4.0), 2), (cfg_tf200_r15, 225)):
-            assert floor_params(cfg).n_v == n_v
-            with pytest.raises(InfeasiblePattern, match="3 distinct periods"):
-                plr_floor(0.1, cfg, dist_x3, pair)
-            with pytest.raises(InfeasiblePattern, match="3 distinct periods"):
-                plr_regular(0.1, cfg, 3, pair)
+    def test_degree_above_num_sets_rejected(self):
+        # two degree-3 users cannot share two periods: each needs three, so
+        # the pattern cannot be built, and no floor form can sum it
+        with pytest.raises(InfeasiblePattern, match="3 distinct periods"):
+            CollisionPattern("x", (0, 0, 2), 2, 1)
 
 
 class TestPlrFloor:
@@ -350,6 +345,16 @@ class TestTermCache:
 
 
 class TestSpecialisations:
+    def test_every_form_checks_the_pair(self):
+        # three replicas cannot fit a frame of two packets; every form used to
+        # return about 1.5e-7 here, where the simulation rejects the pair
+        cfg, dist = SystemConfig.from_db(6.0, 0.87, 2.0), DegreeDistribution.regular(3)
+        assert floor_params(cfg).n_v > 0
+        for form in (lambda: plr_floor(0.1, cfg, dist), lambda: plr_regular(0.1, cfg, 3),
+                     lambda: plr_two_user(0.1, cfg, 3)):
+            with pytest.raises(DegreeTooLargeForVF, match="3 replicas"):
+                form()
+
     @pytest.mark.parametrize("degree", [2, 3])
     def test_regular_equals_generic(self, cfg_tf200_r15, degree):
         dist = DegreeDistribution.regular(degree)
@@ -445,24 +450,21 @@ class TestCatalog:
         path.write_text("d22-m2 0,2 2 1\nx 0,0,2 2 1\n")
         with pytest.raises(FloorError, match=r"cat.txt:2: .*3 distinct periods"):
             load_catalog(path)
-        # the constructor stays permissive: the enumeration counts such a pattern as 0
-        assert count_configurations(CollisionPattern("x", (0, 0, 2), 2, 1), 6) == 0
 
 
-def random_patterns(seed, count, *, extra_periods, oracle_budget=None, nonzero_only=False):
+def random_patterns(seed, count, *, extra_periods, oracle_budget=None):
     """Distinct seeded ``(pattern, n_periods)`` cases: 1-5 users of degree
-    2-5, ``num_sets`` 1-5 and ``n_periods`` up to ``extra_periods`` above it.
+    2-5, ``num_sets`` from the largest degree, the least a pattern may
+    occupy, to 5, and ``n_periods`` up to ``extra_periods`` above it.
 
     ``oracle_budget`` bounds the labelled oracle's search, the product of the
-    users' mask counts; ``nonzero_only`` keeps ``num_sets`` at or above the
-    largest degree, below which every count is 0 before any search.
+    users' mask counts.
     """
     rng = random.Random(seed)
     seen = set()
     while len(seen) < count:
         degrees = sorted(rng.randint(2, 5) for _ in range(rng.randint(1, 5)))
-        lo = max(degrees) if nonzero_only else 1
-        hi = min(5, sum(degrees) // 2)
+        lo, hi = max(degrees), min(5, sum(degrees) // 2)
         if lo > hi:
             continue
         mu = rng.randint(lo, hi)
@@ -502,7 +504,7 @@ class TestCountConfigurations:
             assert count_configurations(pattern, n) == count_configurations_labelled(pattern, n)
 
     def test_matches_labelled_oracle_random(self):
-        cases = random_patterns(20_261_018, 400, extra_periods=2, oracle_budget=20_000)
+        cases = random_patterns(20_261_018, 200, extra_periods=2, oracle_budget=20_000)
         nonzero = 0
         for pattern, n in cases:
             want = count_configurations_labelled(pattern, n)
@@ -514,7 +516,7 @@ class TestCountConfigurations:
         # a realising assignment occupies exactly num_sets periods and every
         # condition looks only at those, so count(n) = comb(n, mu) count(mu)
         patterns = list(builtin_catalog())
-        patterns += [p for p, _ in random_patterns(7, 30, extra_periods=0, nonzero_only=True)]
+        patterns += [p for p, _ in random_patterns(7, 30, extra_periods=0)]
         nonzero = 0
         for pattern in patterns:
             mu = pattern.num_sets

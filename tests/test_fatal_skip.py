@@ -18,7 +18,7 @@ import pytest
 from irasim import _kernels
 from irasim.channel import clean_fraction, symbol_mi
 from irasim.model import SystemConfig
-from irasim.receiver import _restrict, peel, run_sic_kernel, sweep_inputs
+from irasim.receiver import peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import TrafficTrace, generate_trace
 
 from conftest import MIXES, manual_trace
@@ -202,7 +202,9 @@ def test_fatal_neighbour_decoded_before_admission():
 
 
 def test_restricted_inputs_keep_valid_counts():
-    # the sliced counts equal those counted afresh on the restricted replicas
+    # the inputs of the users peel leaves to the sweep, built afresh from
+    # their replicas alone, keep the whole trace's grid origin, and their
+    # neighbour and fatal ranges hold exactly what a brute-force count finds
     cfg = SystemConfig.from_db(6.0, 1.5, 50.0)
     split = 0
     for seed in range(12):
@@ -211,10 +213,25 @@ def test_restricted_inputs_keep_valid_counts():
         peeled = peel(full)
         if peeled is None:
             continue
-        restricted = _restrict(full, peeled[0])
-        assert restricted.rad == full.rad > 0.0
-        n_fatal = static_counts(restricted)  # int32 bounds included
-        assert n_fatal.tolist() == brute_fatal_counts(restricted.rep_start, restricted.rad).tolist()
+        kept = peeled[0][full.rep_owner]
+        rest = sweep_inputs(trace, cfg, peeled[0])
+        assert rest.w0 == full.w0 and rest.step_len == full.step_len
+        assert rest.n_steps <= full.n_steps
+        assert np.array_equal(rest.rep_start, full.rep_start[kept])
+        assert np.array_equal(rest.mi_table, full.mi_table[:rest.mi_table.shape[0]])
+        starts = rest.rep_start
+        for i, s in enumerate(starts):
+            near = np.flatnonzero((starts > s - 1.0) & (starts < s + 1.0))
+            assert near.tolist() == list(range(rest.nb_lo[i], rest.nb_hi[i])), i
+        # no kept replica had a dropped one in its range
+        assert np.array_equal(rest.nb_hi - rest.nb_lo, (full.nb_hi - full.nb_lo)[kept])
+        assert rest.rad == full.rad > 0.0
+        n_fatal = static_counts(rest)  # int32 bounds included
+        assert n_fatal.tolist() == brute_fatal_counts(starts, rest.rad).tolist()
+        want = _kernels.sic_sweep(*full)
+        got = assert_skip_is_exact(rest)
+        assert np.array_equal(got[0], want[0][peeled[0]])
+        assert np.array_equal(got[1], want[1][peeled[0]])
         split += (n_fatal > 0).any()
     assert split >= 6
 

@@ -162,6 +162,20 @@ def test_isolated_trace_is_resolved_by_the_pre_pass(cfg200):
     assert resolved_share(trace, cfg200) == 1.0
 
 
+def test_no_sweep_when_the_pre_pass_resolves_everyone(cfg200, monkeypatch):
+    # the chain of test_chain_decodes_at_the_step_of_its_cause leaves no
+    # user to the sweep, so the sweep does not run at all
+    trace = manual_trace(cfg200, [(0.0, 50.0), (0.3, 100.0), (100.3, 250.0)])
+    want_decoded, want_w = sweep_alone(trace, cfg200)
+
+    def no_sweep(geom):
+        raise AssertionError("swept an empty rest")
+
+    monkeypatch.setattr(receiver, "_sweep", no_sweep)
+    decoded, decided_w = run_sic_kernel(trace, cfg200)
+    assert np.array_equal(decoded, want_decoded) and np.array_equal(decided_w, want_w)
+
+
 def test_dense_trace_is_left_to_the_sweep(cfg200):
     trace = generate_trace(cfg200, MIXES[1], 2.0, 2000.0, np.random.default_rng(3))
     assert peel(sweep_inputs(trace, cfg200)) is None
