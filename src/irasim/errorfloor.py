@@ -12,9 +12,11 @@ gets started: unresolvable collision patterns. The machinery here
   over a fixed set of periods,
 * combines selection, placement and configuration counts into the probability
   that a tagged user is caught in a pattern (:func:`pattern_term` sets up,
-  once per pattern, every count that does not depend on the number of users,
-  and :func:`plr_floor` keeps its values for the other loads of a grid),
-  and mixes over the Poisson number of users sharing a virtual-frame span,
+  once per pattern, every count that does not depend on the number of users),
+  caps each pattern's probability at 1 and mixes the sum over the Poisson
+  number of users sharing a virtual-frame span (:func:`_floor_sum`, the one
+  core of every floor form, keeps each capped sum for the other loads of a
+  grid),
 * validates every configuration count against a brute-force enumeration over
   a small number of labeled periods.
 
@@ -235,9 +237,7 @@ def pattern_term(pattern: CollisionPattern, n_v: int, dist: DegreeDistribution):
     configuration count leave the float range fails here with an
     ``OverflowError``. ``at(m)`` multiplies the expected ways to pick the
     users out of ``m`` (0 when ``m`` is too small) by the ways to place
-    them, over all placements. :func:`plr_floor` keeps the values of ``at``
-    across calls, for at most ``_TERM_TABLES`` scenarios and
-    ``_TABLE_VALUES`` values each (:func:`_term_rows`).
+    them, over all placements.
     """
     nu = pattern.num_users
     weights = [dist.prob(l) ** cnt / math.factorial(cnt) for l, cnt in enumerate(pattern.profile, start=1) if cnt]
@@ -254,16 +254,6 @@ def pattern_term(pattern: CollisionPattern, n_v: int, dist: DegreeDistribution):
         return sel * iso_count * nu * (periods / (m * total))
 
     return at
-
-
-def _clamp(pr: float, diagnostics: dict | None) -> float:
-    """Cap one per-pattern term at 1, counting each cap in ``clamped_terms``;
-    every factor of a term is non-negative, so no lower cap is needed."""
-    if pr > 1.0:
-        if diagnostics is not None:
-            diagnostics["clamped_terms"] = diagnostics.get("clamped_terms", 0) + 1
-        return 1.0
-    return pr
 
 
 def _poisson_log_pmf(m: int, lam: float) -> float:
@@ -306,21 +296,50 @@ def _mix_over_poisson(lam: float, per_m, diagnostics: dict | None) -> float:
     return total
 
 
+#: Tables of per-``m`` sums the floor core keeps, the least recently used
+#: dropped first. A table holds one pair per ``m`` the mixture reached, at
+#: most ``MAX_POISSON_TERMS`` of them.
+_TERM_TABLES = 4
+
+
+@functools.lru_cache(maxsize=_TERM_TABLES)
+def _term_sums(term, feasible: tuple[CollisionPattern, ...], n_v: int, dist: DegreeDistribution):
+    """``sums(m)``: the per-pattern terms ``term(s, n_v, dist)(m)`` of the
+    ``feasible`` patterns, each capped at 1, summed in catalog order, and
+    the number of capped terms. Every term is non-negative, so no lower cap
+    is needed. Each ``m`` is computed once and kept, so that the loads of a
+    grid share it; the key holds every input a sum depends on, so a kept
+    pair is the one a fresh computation gives.
+    """
+    at = [term(s, n_v, dist) for s in feasible]
+    kept: dict[int, tuple[float, int]] = {}
+
+    def sums(m: int) -> tuple[float, int]:
+        if m not in kept:
+            row = [f(m) for f in at]
+            capped = sum(v > 1.0 for v in row)
+            kept[m] = (sum(min(v, 1.0) for v in row) if capped else sum(row), capped)
+        return kept[m]
+
+    return sums
+
+
 def _floor_sum(
     load: float,
     cfg: SystemConfig,
     dist: DegreeDistribution,
     catalog: tuple[CollisionPattern, ...] | None,
-    terms,
+    term,
     diagnostics: dict | None,
 ) -> float:
-    """The floor core. ``terms(feasible, n_v, dist)`` sets up the per-pattern
-    terms of the patterns of ``catalog`` (default: builtin) feasible for
-    ``dist`` and returns ``rows(m)``: the probability that a tagged user,
-    one of ``m``, is caught in each pattern, unclamped, in catalog order.
-    The core caps each value at 1, counting the caps in ``clamped_terms``,
-    sums them and mixes the sum over the Poisson number ``m`` of users per
-    virtual-frame span.
+    """The floor core. ``term(s, n_v, dist)`` sets up the term of one
+    pattern ``s`` of ``catalog`` (default: builtin) and returns ``at(m)``:
+    the probability that a tagged user, one of ``m``, is caught in ``s``,
+    uncapped. The core caps each term at 1, counting the caps in
+    ``clamped_terms``, sums the terms of the feasible patterns
+    (:func:`_term_sums`) and mixes the sum over the Poisson number ``m`` of
+    users per virtual-frame span. ``term`` must be a module-level function:
+    it is part of the key of the kept sums.
 
     The pair ``(cfg, dist)`` is checked first (:func:`validate_config`). A
     pattern is feasible when every degree of its profile has mass and its
@@ -346,55 +365,16 @@ def _floor_sum(
         return 0.0
 
     def per_m(m: int) -> float:
-        row = rows(m)
-        # a row with nothing to cap sums as the capped one does
-        return sum(row) if max(row) <= 1.0 else sum(_clamp(v, diagnostics) for v in row)
+        total, capped = sums(m)
+        if capped and diagnostics is not None:
+            diagnostics["clamped_terms"] = diagnostics.get("clamped_terms", 0) + capped
+        return total
 
     try:
-        rows = terms(feasible, params.n_v, dist)
+        sums = _term_sums(term, feasible, params.n_v, dist)
         return _mix_over_poisson(cfg.vf_span * load, per_m, diagnostics)
     except OverflowError as exc:  # 171 users, a huge iso_count, or 170 users once m reaches 171
         raise FloorError(f"a pattern term leaves the float64 range: {exc}") from exc
-
-
-def _each_m(term):
-    """The ``terms`` of :func:`_floor_sum` for a per-pattern ``term(s, n_v)``
-    that gives ``at(m)``: every term is computed afresh at every ``m``."""
-
-    def terms(feasible, n_v, dist):
-        at = [term(s, n_v) for s in feasible]
-        return lambda m: [f(m) for f in at]
-
-    return terms
-
-
-#: Scenarios whose terms :func:`plr_floor` keeps, and the values it keeps of
-#: each; 12 patterns with ``m`` up to 10,000 would be 120,000 values.
-_TERM_TABLES = 4
-_TABLE_VALUES = 1 << 15
-
-
-@functools.lru_cache(maxsize=_TERM_TABLES)
-def _term_rows(feasible: tuple[CollisionPattern, ...], n_v: int, dist: DegreeDistribution):
-    """The ``terms`` of :func:`plr_floor`: each pattern's :func:`pattern_term`,
-    whose values ``rows(m)`` keeps, so that the loads of a grid compute each
-    ``m`` once. The values do not depend on the load and the key holds every
-    input they do depend on, so a kept value is the one a fresh computation
-    gives. Rows past ``_TABLE_VALUES`` kept values are computed afresh.
-    """
-    at = [pattern_term(s, n_v, dist) for s in feasible]
-    kept: dict[int, tuple[float, ...]] = {}
-    max_rows = _TABLE_VALUES // len(at)
-
-    def rows(m: int) -> tuple[float, ...]:
-        row = kept.get(m)
-        if row is None:
-            row = tuple(f(m) for f in at)
-            if len(kept) < max_rows:
-                kept[m] = row
-        return row
-
-    return rows
 
 
 def plr_floor(
@@ -412,14 +392,11 @@ def plr_floor(
     user belongs to an unresolvable pattern (:func:`pattern_term`). Returns 0
     when one interferer can never kill a packet (``phi = 0``).
 
-    The unclamped terms of each ``m`` are kept across calls, keyed by the
-    feasible patterns, ``n_v`` and ``dist`` (:func:`_term_rows`), so the
-    loads of a grid share them. The cache holds at most ``_TERM_TABLES``
-    scenarios, the least recently used dropped first, and at most
-    ``_TABLE_VALUES`` values of each. The caps, ``clamped_terms`` and
-    ``m_terms`` are still counted per call.
+    The capped sum of each ``m`` is kept across calls (:func:`_term_sums`),
+    so the loads of a grid share it; ``clamped_terms`` and ``m_terms`` are
+    still counted per call.
     """
-    return _floor_sum(load, cfg, dist, catalog, _term_rows, diagnostics)
+    return _floor_sum(load, cfg, dist, catalog, pattern_term, diagnostics)
 
 
 def plr_regular(
@@ -436,13 +413,14 @@ def plr_regular(
     The user-selection and placement counts collapse to pure binomials, and
     every per-term probability becomes an exact integer ratio.
     """
+    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), catalog, _regular_term, diagnostics)
 
-    def term(s: CollisionPattern, n_v: int):
-        nu, placements = s.num_users, n_v * math.comb(n_v - 1, degree - 1)
-        num = math.comb(n_v - 1, s.num_sets - 1) * s.iso_count * n_v
-        return lambda m: nu * math.comb(m, nu) * num / (m * placements**nu)
 
-    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), catalog, _each_m(term), diagnostics)
+def _regular_term(s: CollisionPattern, n_v: int, dist: DegreeDistribution):
+    """:func:`plr_regular`'s term of ``s``; every user has degree ``dist.d_m``."""
+    nu, placements = s.num_users, n_v * math.comb(n_v - 1, dist.d_m - 1)
+    num = math.comb(n_v - 1, s.num_sets - 1) * s.iso_count * n_v
+    return lambda m: nu * math.comb(m, nu) * num / (m * placements**nu)
 
 
 def plr_two_user(
@@ -458,13 +436,15 @@ def plr_two_user(
     For ``degree = 2`` this sum has the closed form
     ``(n_p G - 1 + exp(-n_p G)) / (n_v (n_v - 1))``.
     """
-
-    def term(s: CollisionPattern, n_v: int):
-        den_base = n_v * math.comb(n_v - 1, degree - 1)
-        return lambda m: (2 * math.comb(m, 2)) / (m * den_base)
-
     pair = (two_user_pattern(degree),)
-    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), pair, _each_m(term), diagnostics)
+    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), pair, _two_user_term, diagnostics)
+
+
+def _two_user_term(s: CollisionPattern, n_v: int, dist: DegreeDistribution):
+    """:func:`plr_two_user`'s term of its one pattern ``s``, the pair of
+    degree-``dist.d_m`` users."""
+    den_base = n_v * math.comb(n_v - 1, dist.d_m - 1)
+    return lambda m: (2 * math.comb(m, 2)) / (m * den_base)
 
 
 # -- brute-force validation of the configuration counts ----------------------

@@ -9,7 +9,8 @@ users whose whole virtual frame has left the window are lost.
 
 Two interchangeable engines are provided: a transparent step-by-step
 reference built on :mod:`irasim.channel`, and the array receiver used for
-large Monte Carlo runs. Both produce the same classification; the fixed
+large Monte Carlo runs. Both step the window on one grid,
+``w0 + k * step_length``, and produce the same classification; the fixed
 point of exhaustive cancellation does not depend on the order in which
 decodable replicas are picked, because cancelling only ever raises the MI of
 the remaining replicas.
@@ -45,10 +46,13 @@ from .traffic import TrafficTrace
 
 
 class ReceiverState:
-    """Mutable receiver bookkeeping over one trace."""
+    """Mutable receiver bookkeeping over one trace. ``window`` is the window
+    at step 0 of the step grid, which starts at ``w0 = window.begin``."""
 
     def __init__(self, window: TimeInterval, rep_start, rep_owner, vf_end, active) -> None:
         self.window = window
+        self.w0 = window.begin
+        self.steps = 0
         self.rep_start = rep_start
         self.rep_owner = rep_owner
         self.vf_end = vf_end
@@ -118,13 +122,17 @@ def sic_pass(
 
 
 def slide(state: ReceiverState, cfg: SystemConfig) -> ReceiverState:
-    """Advance the window one step and declare users behind it lost.
+    """Advance the window to the next step of the kernel's grid, with the
+    kernel's float expressions (adding the step at each slide drifts off the
+    grid in the last bits), and declare users behind it lost.
 
     A lost user's replicas are dropped from the active set; everything they
     could have interfered with is behind the window as well, so this has no
     observable effect beyond bounding the state.
     """
-    state.window = state.window.shifted(cfg.step_length)
+    state.steps += 1
+    w = state.w0 + state.steps * cfg.step_length
+    state.window = TimeInterval(w, w + cfg.window_length)
     for u in range(len(state.vf_end)):
         if u in state.decoded_users or u in state.lost_users:
             continue

@@ -14,7 +14,7 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 
-from irasim.errorfloor import _each_m, _floor_sum, edge_assignment_count, period_choice_count
+from irasim.errorfloor import _floor_sum, edge_assignment_count, period_choice_count
 
 TABLE_ROWS = [
     ((0, 2, 0, 0), 2, 1),
@@ -101,15 +101,15 @@ def prob_user_in_pattern_per_m(m, pattern, n_v, dist):
     return sel * pattern.iso_count * pattern.num_users * (periods / (m * total))
 
 
+def _per_m_term(s, n_v, dist):
+    return lambda m: prob_user_in_pattern_per_m(m, s, n_v, dist)
+
+
 def plr_floor_per_m(load, cfg, dist, catalog=None, *, diagnostics=None):
     """``plr_floor`` with :func:`prob_user_in_pattern_per_m` as the per-pattern
-    term, computed at every ``m`` of every call: the same floor core without
-    the kept terms, so values and diagnostics compare with ``==``."""
-
-    def term(s, n_v):
-        return lambda m: prob_user_in_pattern_per_m(m, s, n_v, dist)
-
-    return _floor_sum(load, cfg, dist, catalog, _each_m(term), diagnostics)
+    term, which sets up no count ahead of ``m``: the same floor core, so
+    values and diagnostics compare with ``==``."""
+    return _floor_sum(load, cfg, dist, catalog, _per_m_term, diagnostics)
 
 
 def two_user_closed_form(load, vf_span, n_v):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from irasim import errorfloor
 from irasim.errorfloor import (
     _MAX_ENUM_PERIODS,
-    _clamp,
+    _term_sums,
     MAX_POISSON_TERMS,
     CollisionChannelRegimeWarning,
     CollisionPattern,
@@ -158,11 +159,9 @@ class TestProbUserInPattern:
                         above_one[n_v] = above_one.get(n_v, 0) + (got > 1.0)
         # the terms are unclamped; the floor core caps them (TestPerMOracle)
         assert above_one[4] > 0 and above_one[225] == 0
-        raw = pattern_term(builtin_catalog()[0], 2, dist_x2)(4)
-        assert raw == 1.5
-        d_new = {}
-        assert _clamp(raw, d_new) == 1.0
-        assert d_new == {"clamped_terms": 1}
+        pair = builtin_catalog()[0]
+        assert pattern_term(pair, 2, dist_x2)(4) == 1.5
+        assert _term_sums(pattern_term, (pair,), 2, dist_x2)(4) == (1.0, 1)
 
     def test_degree_above_num_sets_rejected(self):
         # two degree-3 users cannot share two periods: each needs three, so
@@ -266,28 +265,28 @@ class TestPerMOracle:
 
 
 class TestTermCache:
-    """``plr_floor`` keeps the unclamped terms of each ``m`` across calls;
-    a warm call must give the bits and diagnostics of a cold one."""
+    """The floor core keeps the capped sum of each ``m`` across calls, for
+    every form; a warm call must give the bits and diagnostics of a cold one."""
 
     @staticmethod
-    def call(load, cfg, dist, catalog=None):
+    def call(load, cfg, dist, catalog=None, form=plr_floor):
         diag = {}
-        got = plr_floor(load, cfg, dist, catalog, diagnostics=diag)
+        got = form(load, cfg, dist, catalog, diagnostics=diag)
         return got.hex(), diag
 
-    def cold(self, load, cfg, dist, catalog=None):
-        errorfloor._term_rows.cache_clear()
-        return self.call(load, cfg, dist, catalog)
+    def cold(self, load, cfg, dist, catalog=None, form=plr_floor):
+        errorfloor._term_sums.cache_clear()
+        return self.call(load, cfg, dist, catalog, form)
 
     @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
     def test_warm_equals_cold_on_the_config_grids(self, descending):
         for path in CONFIGS:
             cfg = parse_config_file(path)
             want = {g: self.cold(g, cfg.system, cfg.distribution) for g in cfg.load_grid}
-            errorfloor._term_rows.cache_clear()
+            errorfloor._term_sums.cache_clear()
             for g in sorted(cfg.load_grid, reverse=descending):
                 assert self.call(g, cfg.system, cfg.distribution) == want[g], (path.stem, g)
-            info = errorfloor._term_rows.cache_info()
+            info = errorfloor._term_sums.cache_info()
             assert (info.misses, info.hits) == (1, len(cfg.load_grid) - 1)
 
     @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
@@ -298,9 +297,28 @@ class TestTermCache:
         loads = (0.05, 0.5, 2.0, 6.0)
         want = {g: self.cold(g, cfg, dist, catalog) for g in loads}
         assert all(want[g][1]["clamped_terms"] > 0 for g in loads[1:])
-        errorfloor._term_rows.cache_clear()
+        errorfloor._term_sums.cache_clear()
         for g in sorted(loads, reverse=descending):
             assert self.call(g, cfg, dist, catalog) == want[g]
+
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_other_forms_warm_equals_cold_where_terms_are_clamped(self, descending):
+        cfg = SystemConfig.from_db(6.0, 2.0, 6.0)  # n_v = 3
+        dist = DegreeDistribution.from_pairs([(2, 0.6), (3, 0.4)])
+        catalog = (CollisionPattern("d22-m2", (0, 2, 0), 2, 1), CollisionPattern("d223-m3", (0, 2, 1), 3, 5))
+        forms = {  # the second argument and the catalog of each form
+            "regular": (2, None, plr_regular),
+            "two_user": (3, None, lambda g, cfg, degree, _, **kw: plr_two_user(g, cfg, degree, **kw)),
+            "oracle": (dist, catalog, plr_floor_per_m),
+        }
+        loads = (0.05, 0.5, 2.0, 6.0)
+        for name, (arg, cat, form) in forms.items():
+            want = {g: self.cold(g, cfg, arg, cat, form) for g in loads}
+            assert all(want[g][1]["clamped_terms"] > 0 for g in loads[1:]), name
+            errorfloor._term_sums.cache_clear()
+            for g in sorted(loads, reverse=descending):
+                assert self.call(g, cfg, arg, cat, form) == want[g], (name, g)
+            assert errorfloor._term_sums.cache_info().misses == 1, name
 
     def test_catalogs_keep_their_own_entries(self, tmp_path, cfg_tf200_r15, dist_lambda1):
         # the same names with one count changed: a key without the rows'
@@ -309,18 +327,19 @@ class TestTermCache:
         write_catalog(path, [s._replace(iso_count=s.iso_count + 1) if s.name == "d223-m3" else s
                              for s in builtin_catalog()])
         loaded = load_catalog(path)
-        errorfloor._term_rows.cache_clear()
+        errorfloor._term_sums.cache_clear()
         for g in (0.1, 0.4, 0.1, 0.05):
             for catalog in (None, loaded, None):
                 got = plr_floor(g, cfg_tf200_r15, dist_lambda1, catalog)
                 assert got == plr_floor_per_m(g, cfg_tf200_r15, dist_lambda1, catalog)
-        info = errorfloor._term_rows.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
+        # one table per catalog and term: plr_floor's and the oracle's
+        info = errorfloor._term_sums.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (4, 20, 4)
         assert plr_floor(0.1, cfg_tf200_r15, dist_lambda1) < plr_floor(0.1, cfg_tf200_r15, dist_lambda1, loaded)
 
     def test_cache_is_bounded(self, monkeypatch, cfg_tf200_r15):
-        # every table keeps at most _TABLE_VALUES values; the rows past them
-        # are computed afresh at each call
+        # a table holds one sum for each m the mixture reached, computed once,
+        # and the core keeps at most _TERM_TABLES tables
         computed = []
         real = errorfloor.pattern_term
 
@@ -328,20 +347,25 @@ class TestTermCache:
             at = real(pattern, n_v, dist)
             return lambda m: computed.append(m) or at(m)
 
+        def reached(result):  # each m of the mixture, once per pattern
+            return [m for m in range(2, result[1]["m_terms"] + 2) for _ in range(3)]
+
         monkeypatch.setattr(errorfloor, "pattern_term", counting)
-        monkeypatch.setattr(errorfloor, "_TABLE_VALUES", 3 * 20)
-        dist = DegreeDistribution.regular(2)  # three feasible patterns: 20 rows kept
-        errorfloor._term_rows.cache_clear()
+        dist = DegreeDistribution.regular(2)  # three feasible patterns
+        errorfloor._term_sums.cache_clear()
         first = self.call(0.3, cfg_tf200_r15, dist)
-        rows = len(computed) // 3
-        assert rows > 40
+        assert computed == reached(first)
         assert self.call(0.3, cfg_tf200_r15, dist) == first
-        assert len(computed) == 3 * rows + 3 * (rows - 20)
+        assert self.call(0.1, cfg_tf200_r15, dist)[1]["m_terms"] < first[1]["m_terms"]
+        assert computed == reached(first)
+        higher = self.call(0.6, cfg_tf200_r15, dist)
+        assert computed == reached(higher)
+        assert errorfloor._term_sums.cache_info().currsize == 1
         monkeypatch.setattr(errorfloor, "pattern_term", real)
         assert self.cold(0.3, cfg_tf200_r15, dist) == first
         for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
             plr_floor(0.3, cfg_tf200_r15, DegreeDistribution.from_pairs([(2, p), (3, 1.0 - p)]))
-        assert errorfloor._term_rows.cache_info().currsize == errorfloor._TERM_TABLES
+        assert errorfloor._term_sums.cache_info().currsize == errorfloor._TERM_TABLES
 
 
 class TestSpecialisations:
@@ -458,8 +482,22 @@ def random_patterns(seed, count, *, extra_periods, oracle_budget=None):
     occupy, to 5, and ``n_periods`` up to ``extra_periods`` above it.
 
     ``oracle_budget`` bounds the labelled oracle's search, the product of the
-    users' mask counts.
+    users' mask counts. Raises ``ValueError`` when fewer than ``count``
+    distinct cases exist.
     """
+
+    def eligible(degrees, n):
+        return oracle_budget is None or math.prod(math.comb(n, d) for d in degrees) <= oracle_budget
+
+    available = sum(
+        eligible(degrees, n)
+        for k in range(1, 6)
+        for degrees in combinations_with_replacement(range(2, 6), k)
+        for mu in range(max(degrees), min(5, sum(degrees) // 2) + 1)
+        for n in range(mu, mu + extra_periods + 1)
+    )
+    if count > available:
+        raise ValueError(f"{count} distinct cases asked for, {available} exist")
     rng = random.Random(seed)
     seen = set()
     while len(seen) < count:
@@ -469,13 +507,19 @@ def random_patterns(seed, count, *, extra_periods, oracle_budget=None):
             continue
         mu = rng.randint(lo, hi)
         n = rng.randint(mu, mu + extra_periods)
-        if oracle_budget is None or math.prod(math.comb(n, d) for d in degrees) <= oracle_budget:
+        if eligible(degrees, n):
             seen.add((tuple(degrees), mu, n))
     cases = []
     for degrees, mu, n in sorted(seen):
         profile = tuple(degrees.count(l) for l in range(1, 6))
         cases.append((CollisionPattern(f"r{''.join(map(str, degrees))}-m{mu}", profile, mu, 1), n))
     return cases
+
+
+def test_random_patterns_refuses_more_cases_than_exist():
+    assert len(random_patterns(1, 260, extra_periods=2, oracle_budget=20_000)) == 260
+    with pytest.raises(ValueError, match="261 distinct cases asked for, 260 exist"):
+        random_patterns(1, 261, extra_periods=2, oracle_budget=20_000)
 
 
 class TestCountConfigurations:

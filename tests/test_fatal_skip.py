@@ -21,7 +21,7 @@ from irasim.model import SystemConfig
 from irasim.receiver import peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import TrafficTrace, generate_trace
 
-from conftest import MIXES, manual_trace
+from conftest import MIXES, edge_placed_trace, manual_trace
 
 
 def skip_off(args):
@@ -115,6 +115,21 @@ def test_random_traces_match_the_sweep_without_the_test():
     assert min(regimes.values()) >= 100, regimes
     assert switched_on >= 0.99 * (regimes["partial"] + regimes["phi1"])
     assert skipped > 0  # the test fired, so the comparison is not vacuous
+
+
+def test_edge_placed_traces_match_the_sweep_without_the_test():
+    # each chain's edge user decodes at the last step its replica is in the
+    # window, once a fatal neighbour is cancelled in that very step
+    rng = np.random.default_rng(20_261_022)
+    skipped = 0
+    for _ in range(60):
+        cfg, trace, edge_users = edge_placed_trace(rng)
+        args = sweep_inputs(trace, cfg)
+        assert args.rad > 0.0
+        decoded = assert_skip_is_exact(args)[0]
+        assert decoded[edge_users].all()
+        skipped += int(np.count_nonzero(args.f_hi - args.f_lo > 1))
+    assert skipped > 0
 
 
 def checked_sweep():

@@ -16,7 +16,7 @@ from irasim.model import SystemConfig
 from irasim.receiver import peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import generate_trace
 
-from conftest import MIXES, manual_trace
+from conftest import MIXES, edge_placed_trace, manual_trace
 
 
 def sweep_alone(trace, cfg):
@@ -70,6 +70,20 @@ def test_random_traces_match_the_sweep():
         resolved += resolved_share(trace, cfg) * trace.n_users
     # the comparison is not vacuous: the pre-pass took a large part of the work
     assert resolved / users > 0.25
+
+
+def test_edge_placed_traces_match_the_sweep():
+    # replicas on the sweep's grid edges: the pre-pass's admission, last and
+    # expiry steps, and the rest's sweep, must all take the whole trace's grid
+    rng = np.random.default_rng(20_261_021)
+    resolved = []
+    for _ in range(60):
+        cfg, trace, edge_users = edge_placed_trace(rng)
+        decoded, _ = assert_same_as_sweep(trace, cfg)
+        assert decoded[edge_users].all()
+        resolved.append(resolved_share(trace, cfg))
+    # the pre-pass ran on most traces, and the chains were left to the sweep
+    assert sum(0.0 < r < 1.0 for r in resolved) > 40
 
 
 @pytest.fixture(scope="module")

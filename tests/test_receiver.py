@@ -16,7 +16,7 @@ from irasim.receiver import (
 )
 from irasim.traffic import generate_trace
 
-from conftest import manual_trace
+from conftest import edge_placed_trace, manual_trace
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,18 @@ def test_conservation_and_engine_equality(dist_lambda1, dist_lambda2):
         assert np.array_equal(lk, lr)
         assert len(dk) + len(lk) == trace.n_users
         assert set(dk.tolist()).isdisjoint(lk.tolist())
+
+
+def test_edge_placed_traces_engine_equality():
+    # a replica starting exactly at w(k) decodes at step k or never, so the
+    # reference must step the kernel's grid w0 + k * step_length to agree
+    rng = np.random.default_rng(20_261_020)
+    for _ in range(40):
+        cfg, trace, edge_users = edge_placed_trace(rng)
+        dk, lk = run_receiver(trace, cfg, engine="kernel")
+        dr, lr = run_receiver(trace, cfg, engine="reference")
+        assert np.isin(edge_users, dk).all()  # every chain reached its edge user
+        assert np.array_equal(dk, dr) and np.array_equal(lk, lr), cfg
 
 
 def test_sic_pass_idempotent(cfg200):
