@@ -17,8 +17,6 @@ _PUBLIC = {
         "floor_params",
         "load_catalog",
         "plr_floor",
-        "plr_regular",
-        "plr_two_user",
         "vp_count",
         "vulnerable_fraction",
     ),

@@ -14,9 +14,9 @@ gets started: unresolvable collision patterns. The machinery here
   that a tagged user is caught in a pattern (:func:`pattern_term` sets up,
   once per pattern, every count that does not depend on the number of users),
   caps each pattern's probability at 1 and mixes the sum over the Poisson
-  number of users sharing a virtual-frame span (:func:`_floor_sum`, the one
-  core of every floor form, keeps each capped sum for the other loads of a
-  grid),
+  number of users sharing a virtual-frame span (:func:`plr_floor`, the one
+  floor of the library; its core :func:`_floor_sum` keeps each capped sum
+  for the other loads of a grid),
 * validates every configuration count against a brute-force enumeration over
   a small number of labeled periods.
 
@@ -153,13 +153,6 @@ def builtin_catalog() -> tuple[CollisionPattern, ...]:
     """The twelve dominant patterns with at most four replica-collision sets
     (one tuple, built on the first call)."""
     return tuple(CollisionPattern(n, p, mu, c) for n, p, mu, c in _BUILTIN_ROWS)
-
-
-def two_user_pattern(degree: int) -> CollisionPattern:
-    """The pattern of two degree-``degree`` users whose replicas all pair up."""
-    profile = [0] * degree
-    profile[degree - 1] = 2
-    return CollisionPattern(f"d{degree}{degree}-m{degree}", tuple(profile), degree, 1)
 
 
 def vulnerable_fraction(snr_linear: float, rate: float) -> float:
@@ -332,7 +325,9 @@ def _floor_sum(
     term,
     diagnostics: dict | None,
 ) -> float:
-    """The floor core. ``term(s, n_v, dist)`` sets up the term of one
+    """The core of :func:`plr_floor`, which passes :func:`pattern_term`;
+    the tests' regular, two-user and per-``m`` oracles pass terms of their
+    own to the same core. ``term(s, n_v, dist)`` sets up the term of one
     pattern ``s`` of ``catalog`` (default: builtin) and returns ``at(m)``:
     the probability that a tagged user, one of ``m``, is caught in ``s``,
     uncapped. The core caps each term at 1, counting the caps in
@@ -397,54 +392,6 @@ def plr_floor(
     still counted per call.
     """
     return _floor_sum(load, cfg, dist, catalog, pattern_term, diagnostics)
-
-
-def plr_regular(
-    load: float,
-    cfg: SystemConfig,
-    degree: int,
-    catalog: tuple[CollisionPattern, ...] | None = None,
-    *,
-    diagnostics: dict | None = None,
-) -> float:
-    """Specialisation of :func:`plr_floor` to the regular distribution where
-    every user transmits exactly ``degree`` replicas.
-
-    The user-selection and placement counts collapse to pure binomials, and
-    every per-term probability becomes an exact integer ratio.
-    """
-    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), catalog, _regular_term, diagnostics)
-
-
-def _regular_term(s: CollisionPattern, n_v: int, dist: DegreeDistribution):
-    """:func:`plr_regular`'s term of ``s``; every user has degree ``dist.d_m``."""
-    nu, placements = s.num_users, n_v * math.comb(n_v - 1, dist.d_m - 1)
-    num = math.comb(n_v - 1, s.num_sets - 1) * s.iso_count * n_v
-    return lambda m: nu * math.comb(m, nu) * num / (m * placements**nu)
-
-
-def plr_two_user(
-    load: float,
-    cfg: SystemConfig,
-    degree: int,
-    *,
-    diagnostics: dict | None = None,
-) -> float:
-    """Loss floor when only the two-user pattern is considered for a regular
-    degree: two users whose ``degree`` replicas collide pairwise.
-
-    For ``degree = 2`` this sum has the closed form
-    ``(n_p G - 1 + exp(-n_p G)) / (n_v (n_v - 1))``.
-    """
-    pair = (two_user_pattern(degree),)
-    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), pair, _two_user_term, diagnostics)
-
-
-def _two_user_term(s: CollisionPattern, n_v: int, dist: DegreeDistribution):
-    """:func:`plr_two_user`'s term of its one pattern ``s``, the pair of
-    degree-``dist.d_m`` users."""
-    den_base = n_v * math.comb(n_v - 1, dist.d_m - 1)
-    return lambda m: (2 * math.comb(m, 2)) / (m * den_base)
 
 
 # -- brute-force validation of the configuration counts ----------------------

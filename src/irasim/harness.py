@@ -132,7 +132,6 @@ class PlrRow(_Record):
 class PlrCurve(_Record):
     rows: tuple[PlrRow, ...]
     params: FloorParams
-    analytic_only: bool = False
 
     CSV_HEADER = "load,users,lost,plr,ci_lo,ci_hi,plr_floor"
 
@@ -142,7 +141,7 @@ class PlrCurve(_Record):
         )
         stream.write(self.CSV_HEADER + "\n")
         for r in self.rows:
-            if self.analytic_only:
+            if math.isnan(r.plr_sim):  # a floor-only row, from :func:`predict`
                 stream.write(f"{r.load:g},,,,,,{r.plr_analytic:.6e}\n")
             else:
                 stream.write(
@@ -393,7 +392,7 @@ def predict(
         rows.append(
             PlrRow(load=g, users=0, lost=0, plr_sim=math.nan, ci_lo=math.nan, ci_hi=math.nan, plr_analytic=analytic)
         )
-    return PlrCurve(rows=tuple(rows), params=params, analytic_only=True)
+    return PlrCurve(rows=tuple(rows), params=params)
 
 
 # -- flat key/value config files ----------------------------------------------

@@ -2,7 +2,11 @@
 
 These deliberately avoid the library's own code paths: the loss-floor double
 sum is re-done in arbitrary precision with mpmath and, term by term in the
-library's float order, with every pattern count recomputed for each ``m``;
+library's float order, with every pattern count recomputed for each ``m``.
+The regular form (:func:`plr_regular`, exact integer ratios for one degree)
+and the two-user form (:func:`plr_two_user`, one pattern with a closed form
+at degree 2) supply their own per-pattern terms to the library's floor core
+``_floor_sum``, so their values and diagnostics compare with ``plr_floor``'s;
 replica placement is re-done by literal rejection sampling, configuration
 counts by a plain labelled enumeration, and the average mutual information
 on a symbol grid.
@@ -14,7 +18,8 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 
-from irasim.errorfloor import _floor_sum, edge_assignment_count, period_choice_count
+from irasim.errorfloor import CollisionPattern, _floor_sum, edge_assignment_count, period_choice_count
+from irasim.model import DegreeDistribution, SystemConfig
 
 TABLE_ROWS = [
     ((0, 2, 0, 0), 2, 1),
@@ -110,6 +115,61 @@ def plr_floor_per_m(load, cfg, dist, catalog=None, *, diagnostics=None):
     term, which sets up no count ahead of ``m``: the same floor core, so
     values and diagnostics compare with ``==``."""
     return _floor_sum(load, cfg, dist, catalog, _per_m_term, diagnostics)
+
+
+def two_user_pattern(degree: int) -> CollisionPattern:
+    """The pattern of two degree-``degree`` users whose replicas all pair up."""
+    profile = [0] * degree
+    profile[degree - 1] = 2
+    return CollisionPattern(f"d{degree}{degree}-m{degree}", tuple(profile), degree, 1)
+
+
+def plr_regular(
+    load: float,
+    cfg: SystemConfig,
+    degree: int,
+    catalog: tuple[CollisionPattern, ...] | None = None,
+    *,
+    diagnostics: dict | None = None,
+) -> float:
+    """Specialisation of :func:`plr_floor` to the regular distribution where
+    every user transmits exactly ``degree`` replicas.
+
+    The user-selection and placement counts collapse to pure binomials, and
+    every per-term probability becomes an exact integer ratio.
+    """
+    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), catalog, _regular_term, diagnostics)
+
+
+def _regular_term(s: CollisionPattern, n_v: int, dist: DegreeDistribution):
+    """:func:`plr_regular`'s term of ``s``; every user has degree ``dist.d_m``."""
+    nu, placements = s.num_users, n_v * math.comb(n_v - 1, dist.d_m - 1)
+    num = math.comb(n_v - 1, s.num_sets - 1) * s.iso_count * n_v
+    return lambda m: nu * math.comb(m, nu) * num / (m * placements**nu)
+
+
+def plr_two_user(
+    load: float,
+    cfg: SystemConfig,
+    degree: int,
+    *,
+    diagnostics: dict | None = None,
+) -> float:
+    """Loss floor when only the two-user pattern is considered for a regular
+    degree: two users whose ``degree`` replicas collide pairwise.
+
+    For ``degree = 2`` this sum has the closed form
+    ``(n_p G - 1 + exp(-n_p G)) / (n_v (n_v - 1))``.
+    """
+    pair = (two_user_pattern(degree),)
+    return _floor_sum(load, cfg, DegreeDistribution.regular(degree), pair, _two_user_term, diagnostics)
+
+
+def _two_user_term(s: CollisionPattern, n_v: int, dist: DegreeDistribution):
+    """:func:`plr_two_user`'s term of its one pattern ``s``, the pair of
+    degree-``dist.d_m`` users."""
+    den_base = n_v * math.comb(n_v - 1, dist.d_m - 1)
+    return lambda m: (2 * math.comb(m, 2)) / (m * den_base)
 
 
 def two_user_closed_form(load, vf_span, n_v):

@@ -15,9 +15,6 @@ from irasim.errorfloor import (
     builtin_catalog,
     count_configurations,
     plr_floor,
-    plr_regular,
-    plr_two_user,
-    two_user_pattern,
     vp_count,
     vulnerable_fraction,
 )
@@ -28,7 +25,7 @@ from irasim.receiver import make_state, run_sic_kernel, sic_pass
 from irasim.traffic import generate_trace
 
 from conftest import manual_trace
-from oracles import plr_floor_mp, two_user_closed_form
+from oracles import plr_floor_mp, plr_regular, plr_two_user, two_user_closed_form, two_user_pattern
 
 RHO = 10**0.6
 JOBS = min(8, os.cpu_count() or 1)

@@ -25,9 +25,6 @@ from irasim.errorfloor import (
     period_choice_count,
     pattern_term,
     plr_floor,
-    plr_regular,
-    plr_two_user,
-    two_user_pattern,
     vp_count,
     vulnerable_fraction,
     write_catalog,
@@ -39,9 +36,12 @@ from oracles import (
     count_configurations_labelled,
     plr_floor_mp,
     plr_floor_per_m,
+    plr_regular,
+    plr_two_user,
     prob_user_in_pattern_per_m,
     profile_selection_count,
     two_user_closed_form,
+    two_user_pattern,
 )
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))

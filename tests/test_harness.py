@@ -24,6 +24,8 @@ from irasim.harness import (
 from irasim.model import DegreeDistribution, ModelError, SystemConfig
 from irasim.traffic import MAX_TRACE_USERS, generate_trace
 
+from oracles import plr_regular, plr_two_user
+
 CONFIG_TEXT = """\
 # two-replica scenario on a short frame, sized for fast tests
 snr_db = 6.0
@@ -708,8 +710,8 @@ class TestInputGuards:
         lam_over_cap = (errorfloor.MAX_POISSON_TERMS + 1.0) / system.vf_span
         for floor in (
             lambda load: plr_floor(load, system, DegreeDistribution.regular(2)),
-            lambda load: errorfloor.plr_regular(load, system, 2),
-            lambda load: errorfloor.plr_two_user(load, system, 2),
+            lambda load: plr_regular(load, system, 2),
+            lambda load: plr_two_user(load, system, 2),
         ):
             for load in (lam_over_cap, math.inf, math.nan):
                 with pytest.raises(errorfloor.NonconvergentTruncation):

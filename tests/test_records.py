@@ -56,7 +56,7 @@ RECORDS = {
         lambda: PlrRow(0.2, 1000, 3, 3e-3, 1e-3, 9e-3, 2e-3),
         {"lost": 4},
     ),
-    PlrCurve: (("rows", "params", "analytic_only"), lambda: PlrCurve((ROW,), PARAMS), {"analytic_only": True}),
+    PlrCurve: (("rows", "params"), lambda: PlrCurve((ROW,), PARAMS), {"params": FloorParams(0.44, 26, 20.0)}),
     BatchResult: (("users", "lost", "n_trace_users", "outcome_rows"), lambda: BatchResult(10, 1, 12), {"lost": 2}),
 }
 
