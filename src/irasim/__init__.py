@@ -8,7 +8,6 @@ The public names are imported from their modules on first access, so that
 import importlib
 
 _PUBLIC = {
-    "channel": ("InterferenceTimeline", "avg_mutual_information", "build_timeline", "is_decodable"),
     "errorfloor": (
         "CollisionPattern",
         "FloorParams",
@@ -21,8 +20,8 @@ _PUBLIC = {
         "vulnerable_fraction",
     ),
     "harness": ("ExperimentConfig", "PlrCurve", "parse_config_file", "predict", "sweep", "wilson_interval"),
-    "model": ("DegreeDistribution", "SystemConfig", "TimeInterval", "validate_config"),
-    "receiver": ("ReceiverState", "run_receiver", "sic_pass", "slide"),
+    "model": ("DegreeDistribution", "SystemConfig", "validate_config"),
+    "receiver": ("run_receiver",),
     "traffic": ("TrafficTrace", "generate_trace", "sample_degrees"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -399,12 +399,12 @@ def predict(
 
 _REQUIRED_KEYS = ("snr_db", "rate", "vf_span")
 
-#: Scalar keys of :meth:`SystemConfig.from_db` and of :class:`ExperimentConfig`
+#: Scalar keys of :meth:`SystemConfig.from_db`, then of :class:`ExperimentConfig`,
 #: with their types; a key a file leaves out takes the record's default.
 _SYSTEM_KEYS = {"snr_db": float, "rate": float, "vf_span": float, "window_span": float, "window_step": float}
-_EXPERIMENT_KEYS = {"min_users_per_point": int, "max_lost_events": int, "seed": int, "outputs": str}
+_SCALAR_KEYS = {**_SYSTEM_KEYS, "min_users_per_point": int, "max_lost_events": int, "seed": int, "outputs": str}
 
-_CONFIG_KEYS = {*_SYSTEM_KEYS, *_EXPERIMENT_KEYS, "degree", "load_grid"}
+_CONFIG_KEYS = {*_SCALAR_KEYS, "degree", "load_grid"}
 
 
 def _config_lines(path):
@@ -424,7 +424,7 @@ def parse_config_file(path) -> ExperimentConfig:
     Unknown keys are rejected. Every malformed input, unreadable or
     non-UTF-8 files included, raises :class:`ConfigError`.
     """
-    scalars: dict[str, str] = {}
+    scalars: dict[str, float | int | str] = {}
     degree_pairs: list[tuple[int, float]] = []
     loads: list[float] | None = None
     for lineno, raw in enumerate(_config_lines(path), start=1):
@@ -447,7 +447,7 @@ def parse_config_file(path) -> ExperimentConfig:
             elif key == "load_grid":
                 loads = [float(x) for x in value.replace(",", " ").split()]
             else:
-                scalars[key] = value
+                scalars[key] = _SCALAR_KEYS[key](value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
 
@@ -457,21 +457,10 @@ def parse_config_file(path) -> ExperimentConfig:
     if not degree_pairs:
         raise ConfigError(f"{path}: at least one 'degree = <d> <prob>' line is required")
 
-    def typed(kinds: dict) -> dict:
-        out = {}
-        for key, kind in kinds.items():
-            if key not in scalars:
-                continue
-            try:
-                out[key] = kind(scalars[key])
-            except ValueError:
-                raise ConfigError(f"{path}: bad value for {key!r}: {scalars[key]!r}") from None
-        return out
-
     try:
-        system = SystemConfig.from_db(**typed(_SYSTEM_KEYS))
+        system = SystemConfig.from_db(**{k: v for k, v in scalars.items() if k in _SYSTEM_KEYS})
         dist = DegreeDistribution.from_pairs(degree_pairs)
         loads = (0.1,) if loads is None else tuple(loads)
-        return ExperimentConfig(system, dist, loads, **typed(_EXPERIMENT_KEYS))
+        return ExperimentConfig(system, dist, loads, **{k: v for k, v in scalars.items() if k not in _SYSTEM_KEYS})
     except ModelError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -7,13 +7,13 @@ carries the code rate, removing all replicas of a decoded user everywhere
 decodes any more, the window advances by ``window_step`` virtual frames;
 users whose whole virtual frame has left the window are lost.
 
-Two interchangeable engines are provided: a transparent step-by-step
-reference built on :mod:`irasim.channel`, and the array receiver used for
-large Monte Carlo runs. Both step the window on one grid,
-``w0 + k * step_length``, and produce the same classification; the fixed
-point of exhaustive cancellation does not depend on the order in which
-decodable replicas are picked, because cancelling only ever raises the MI of
-the remaining replicas.
+The package's receiver is the array receiver below. Its test oracle, the
+step-by-step reference (:func:`sic_pass`, :func:`slide`) built on
+:mod:`irasim.channel`, is reached through ``run_receiver(...,
+engine="reference")``; the package does not export it. Both step the window
+on one grid, ``w0 + k * step_length``, and classify alike: the fixed point
+of exhaustive cancellation does not depend on the order in which decodable
+replicas are picked, because cancelling only ever raises the MI of the rest.
 
 The array receiver (:func:`run_sic_kernel`) sorts the replicas once
 (:func:`sweep_inputs`), then resolves in closed form, with numpy, every user
@@ -148,7 +148,7 @@ def run_receiver(
     """Classify every user of ``trace`` as decoded or lost.
 
     Returns sorted arrays ``(decoded_ids, lost_ids)``. ``engine`` selects the
-    array kernel (default) or the step-by-step ``"reference"`` path.
+    array kernel (default) or ``"reference"``, the step-by-step test oracle.
     """
     if engine == "reference":
         return _run_reference(trace, cfg)

@@ -648,6 +648,18 @@ class TestInputGuards:
         assert cli_main(["predict", str(config_file), "--out", str(tmp_path / "f.csv")]) == 2
         assert new.split(" = ")[0] in capsys.readouterr().err
 
+    def test_bad_value_names_its_line(self, config_file, tmp_path, capsys):
+        # a value gets its type on its own line, so the first error in line
+        # order wins, here over an unknown key further down
+        config_file.write_text(CONFIG_TEXT.replace("seed = 99", "seed = one") + "bogus = 1\n")
+        lineno = CONFIG_TEXT.splitlines().index("seed = 99") + 1
+        where = f"{config_file}:{lineno}: bad value for 'seed': 'one'"
+        with pytest.raises(ConfigError) as exc:
+            parse_config_file(config_file)
+        assert str(exc.value) == where
+        assert cli_main(["predict", str(config_file), "--out", str(tmp_path / "f.csv")]) == 2
+        assert where in capsys.readouterr().err
+
     def test_huge_user_count_is_not_divided(self):
         # 10**400 / users_per_batch would overflow a float
         with pytest.raises(ConfigError, match="batches"):

@@ -21,9 +21,11 @@ SIMULATION_MODULES = ("numpy", "irasim.traffic", "irasim.receiver", "irasim._ker
 RECORD_MODULES = ("dataclasses", "inspect", "typing")
 
 #: Every name ``irasim`` exports besides ``__version__``, with the module that
-#: defines it; the package loads each one from there on first access.
+#: defines it; the package loads each one from there on first access. The
+#: package exports one receiver: the step-by-step reference and the timeline
+#: it is built on are the kernel's test oracle, reached through
+#: ``run_receiver(..., engine="reference")`` or their own modules.
 PUBLIC_NAMES = {
-    "channel": ("InterferenceTimeline", "avg_mutual_information", "build_timeline", "is_decodable"),
     "errorfloor": (
         "CollisionPattern",
         "FloorParams",
@@ -36,8 +38,8 @@ PUBLIC_NAMES = {
         "vulnerable_fraction",
     ),
     "harness": ("ExperimentConfig", "PlrCurve", "parse_config_file", "predict", "sweep", "wilson_interval"),
-    "model": ("DegreeDistribution", "SystemConfig", "TimeInterval", "validate_config"),
-    "receiver": ("ReceiverState", "run_receiver", "sic_pass", "slide"),
+    "model": ("DegreeDistribution", "SystemConfig", "validate_config"),
+    "receiver": ("run_receiver",),
     "traffic": ("TrafficTrace", "generate_trace", "sample_degrees"),
 }
 

@@ -208,3 +208,47 @@ def test_long_step_grid_is_left_to_the_sweep(monkeypatch):
     monkeypatch.setattr(receiver, "_MAX_PEEL_STEPS", n_steps)
     assert resolved_share(trace, cfg) > 0.5
     assert_same_as_sweep(trace, cfg)
+
+
+def test_asymmetric_neighbours_are_left_to_the_sweep(cfg200, monkeypatch):
+    # s_e + 1.0 falls halfway between two floats and rounds down to 2.5, so
+    # only the later replica sees the other within one packet. The symmetry
+    # guard leaves both owners to the sweep; the users after them form a
+    # stuck pair, which peel resolves.
+    s_e, s_l = math.nextafter(1.5, 2.0), 2.5
+    assert s_e + 1.0 == s_l and s_l - 1.0 < s_e
+    trace = manual_trace(cfg200, [(s_e, s_e + 5.0), (s_l, s_l + 7.0), (20.0, 25.0), (20.3, 25.3)])
+    args = sweep_inputs(trace, cfg200)
+    assert args.nb_lo[1] == 0 and args.nb_hi[0] == 1  # sorted positions: s_e 0, s_l 1
+    assert peel(args)[0].tolist() == [True, True, False, False]
+    decoded, _ = assert_same_as_sweep(trace, cfg200)
+    assert receiver.run_receiver(trace, cfg200, engine="reference")[0].tolist() == np.flatnonzero(decoded).tolist()
+    # the guard taints each owner itself, not through the taint spread: with
+    # one round allowed, the spread must find nothing left to taint
+    monkeypatch.setattr(receiver, "_MAX_ROUNDS", 1)
+    peeled = peel(args)
+    assert peeled is not None and peeled[0].tolist() == [True, True, False, False]
+
+
+def test_partner_expiring_at_the_last_step_is_left_to_the_sweep():
+    # window 21 advanced by 20: V and W, and I and Z, block each other's
+    # replicas, and V's third replica, placed past V's frame, blocks I's at
+    # 45.0. Step 3 is both the first step whose window holds that replica
+    # and the last whose window start it does not precede, and V expires at
+    # step 3 too. Expiry runs first in a step, so I decodes at w = 39. The
+    # pre-pass lets no expiry free a replica, so it leaves the trace to the
+    # sweep.
+    cfg = SystemConfig.from_db(6.0, 1.5, 20.0, window_span=1.05, window_step=1.0)
+    users = [(0.0, 10.0, 45.3), (0.3, 10.3), (30.0, 35.0, 45.0), (30.3, 35.3)]
+    trace = manual_trace(cfg, users)
+    args = sweep_inputs(trace, cfg)
+    w = args.w0 + np.arange(args.n_steps) * args.step_len
+    expiry_v = int(w.searchsorted(args.vf_end[0], "right"))
+    admit = int((w + args.win_len).searchsorted(45.0 + 1.0, "left"))
+    last = int(w.searchsorted(45.0, "right")) - 1
+    assert expiry_v == admit == last == 3
+    assert peel(args) is None
+    decoded, decided_w = assert_same_as_sweep(trace, cfg)
+    assert decoded.tolist() == [False, False, True, False]
+    assert decided_w[2] == w[3] == 39.0
+    assert receiver.run_receiver(trace, cfg, engine="reference")[0].tolist() == [2]

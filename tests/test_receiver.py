@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from irasim import _kernels
+from irasim.channel import symbol_mi
 from irasim.model import DegreeDistribution, SystemConfig
 from irasim.receiver import (
     SweepInputs,
+    _sweep,
     make_state,
+    peel,
     run_receiver,
     run_sic_kernel,
     sic_pass,
@@ -250,3 +253,27 @@ def test_mi_table_covers_the_largest_neighbour_range(cfg200):
     dr, lr = run_receiver(trace, cfg, engine="reference")
     assert np.array_equal(dk, dr) and np.array_equal(lk, lr)
     assert np.array_equal(dk, np.flatnonzero(decoded))
+
+
+def test_mi_equal_to_the_rate_decodes(cfg200):
+    # the earlier first replica's MI next to its active partner equals the
+    # rate bit for bit: the rate is built with the sweep's own float
+    # operations, d clean then 1 - d under one interferer. The partner's MI
+    # rounds below the rate and the second replicas block each other, so the
+    # pair decodes only through the test mi >= rate at equality.
+    m0, m1 = symbol_mi(cfg200.snr_linear, 0), symbol_mi(cfg200.snr_linear, 1)
+    s_i, s_j = 0.0, 0.45
+    rate = (s_j - s_i) * m0 + ((s_i + 1.0) - s_j) * m1
+    assert ((s_i + 1.0) - s_j) * m1 + ((s_j + 1.0) - (s_i + 1.0)) * m0 < rate
+    cfg = SystemConfig.from_db(6.0, rate, cfg200.vf_span)
+    assert cfg.snr_linear == cfg200.snr_linear
+    trace = manual_trace(cfg, [(s_i, 50.0), (s_j, 50.3)])
+    args = sweep_inputs(trace, cfg)
+    assert args.rad < s_j - s_i  # the fatal pre-test leaves the pair evaluated
+    assert not peel(args)[0].any()  # run_sic_kernel leaves nobody to the sweep
+    decoded, decided_w = run_sic_kernel(trace, cfg)
+    assert decoded.tolist() == [True, True]
+    swept = _sweep(args)
+    assert np.array_equal(swept[0], decoded) and np.array_equal(swept[1], decided_w)
+    dr, lr = run_receiver(trace, cfg, engine="reference")
+    assert dr.tolist() == [0, 1] and lr.size == 0
