@@ -20,10 +20,11 @@ The array receiver (:func:`run_sic_kernel`) sorts the replicas once
 whose collision component has at most one other replica within one packet
 of each replica (:func:`peel`, which also states why its outcome equals the
 sweep's bit for bit). Only the remaining users go through the window sweep
-of :mod:`irasim._kernels`. At low load, the error-floor region, the pre-pass
-resolves most users. Each replica also gets the index range of the replicas
-starting within the fatal radius of it (:func:`sweep_inputs`), so the sweep
-skips every MI evaluation that one active interferer already decides.
+of :mod:`irasim._kernels`, which fills in their entries of the pre-pass's
+per-user arrays. At low load, the error-floor region, the pre-pass resolves
+most users. Each replica also gets the index range of the replicas starting
+within the fatal radius of it (:func:`sweep_inputs`), so the sweep skips
+every MI evaluation that one active interferer already decides.
 """
 
 from __future__ import annotations
@@ -306,13 +307,14 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     of it. A user owning a non-simple replica is *tainted*, and taint spreads
     over partner pairs until no untainted replica has a tainted partner. For
     the untainted users this finds exactly what the sweep would, and returns
-    ``(rest, decoded, decided_w)``: ``rest`` marks the tainted users, which
-    the sweep still has to classify, and the other two arrays hold the
-    outcome of each untainted user in arrival order. It returns ``None``, to
-    leave everyone to the sweep, when fewer than ``_MIN_PEELED_SHARE`` of the
-    users are untainted, when nothing can decode at the code rate, when the
-    grid has more than ``_MAX_PEEL_STEPS`` steps, and when a round cap or a
-    guard below trips.
+    ``(rest, decoded, decided_w)``, each with one entry per user of the trace
+    in arrival order: ``rest`` marks the tainted users, which the sweep still
+    has to classify, and the other two hold the outcome of every untainted
+    user; their entries at ``rest`` are left for the sweep to fill in. It
+    returns ``None``, to leave everyone to the sweep, when fewer than
+    ``_MIN_PEELED_SHARE`` of the users are untainted, when nothing can
+    decode at the code rate, when the grid has more than ``_MAX_PEEL_STEPS``
+    steps, and when a round cap or a guard below trips.
 
     Why the outcome is exact. On the sweep's grid ``w(k) = w0 + k*step_len``
     let ``A_i`` be the step at which replica ``i`` is admitted (first ``k``
@@ -388,19 +390,16 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         tainted[owner[hit]] = True
     else:
         return None
-    untainted = ~tainted
-    users = np.flatnonzero(untainted)  # resolved here, in arrival order
-    keep = untainted[owner]
+    keep = ~tainted[owner]
     cand = cand[keep]
     partner = partner[keep]
-    number = np.cumsum(untainted) - 1  # position of each untainted user in users
-    owner = number[owner[keep]]
-    partner_owner = number[partner_owner[keep]]
-    del keep, paired, hit, number, untainted
+    owner = owner[keep]
+    partner_owner = partner_owner[keep]
+    del keep, paired, hit
 
     never = geom.n_steps  # every user expires before the sweep's last step
     w = geom.w0 + np.arange(never) * geom.step_len
-    expiry = w.searchsorted(geom.vf_end[users], "right")
+    expiry = w.searchsorted(geom.vf_end, "right")
     s = rep_start[cand]
     s_end = s + 1.0
     admit = (w + geom.win_len).searchsorted(s_end, "left")
@@ -413,20 +412,20 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     acc = np.where(b < s_end, acc + (s_end - b) * mi0, acc)
     overlap = (partner != cand) & (b > a)
     # the first guard leaves to the sweep a trace it cannot finish (it raises)
-    if expiry.max() >= never or np.any(overlap & (expiry[partner_owner] <= last)):
+    if expiry[~tainted].max() >= never or np.any(overlap & (expiry[partner_owner] <= last)):
         return None
     waits = overlap & ~(acc >= geom.rate)  # decodes only once its partner is cancelled
     del a, b, acc, s, s_end, overlap, w
 
     # replicas that decode at admission, or never, bound D from the start;
     # the waiting ones are iterated from D = inf
-    base = np.full(users.shape[0], never, dtype=np.int64)
+    base = np.full(n_users, never, dtype=np.int64)
     np.minimum.at(base, owner[~waits], np.where(admit <= last, admit, never)[~waits])
     owner = owner[waits]
     partner_owner = partner_owner[waits]
     admit = admit[waits]
     last = last[waits]
-    decode_at = np.full(users.shape[0], never, dtype=np.int64)
+    decode_at = np.full(n_users, never, dtype=np.int64)
     for _ in range(_MAX_ROUNDS):
         c = np.maximum(admit, decode_at[partner_owner])
         c[c > last] = never
@@ -453,7 +452,8 @@ def _sweep(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_sic_kernel(trace: TrafficTrace, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Array receiver over one trace: :func:`peel`, then the sweep on the rest.
+    """Array receiver over one trace: :func:`peel`, then the sweep on the rest,
+    whose outcome goes into the rest's entries of ``peel``'s arrays.
 
     Returns ``(decoded, decided_w)``: a per-user boolean array and, per user,
     the window start position at classification time.
@@ -465,10 +465,7 @@ def run_sic_kernel(trace: TrafficTrace, cfg: SystemConfig) -> tuple[np.ndarray, 
     if peeled is None:
         return _sweep(geom)
     del geom  # the full inputs go before the rest's are built
-    rest, peeled_decoded, peeled_w = peeled
-    decoded = np.empty(trace.n_users, dtype=bool)
-    decided_w = np.empty(trace.n_users)
-    decoded[~rest], decided_w[~rest] = peeled_decoded, peeled_w
+    rest, decoded, decided_w = peeled
     if rest.any():
         decoded[rest], decided_w[rest] = _sweep(sweep_inputs(trace, cfg, rest))
     return decoded, decided_w

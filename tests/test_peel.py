@@ -2,7 +2,9 @@
 
 ``run_sic_kernel`` resolves sparse collision components with
 ``receiver.peel`` and sweeps only the rest; the sweep alone on the whole
-trace is the oracle. ``decoded`` and ``decided_w`` must agree bit for bit.
+trace is the oracle. ``decoded`` and ``decided_w`` must agree bit for bit,
+both those of ``run_sic_kernel`` and, outside the rest, ``peel``'s own
+per-user arrays.
 """
 
 import math
@@ -26,16 +28,20 @@ def sweep_alone(trace, cfg):
 
 
 def assert_same_as_sweep(trace, cfg):
+    """Returns ``run_sic_kernel``'s outcome and the share of users ``peel``
+    resolved."""
     decoded, decided_w = run_sic_kernel(trace, cfg)
     want_decoded, want_w = sweep_alone(trace, cfg)
     assert np.array_equal(decoded, want_decoded)
     assert np.array_equal(decided_w, want_w)
-    return decoded, decided_w
-
-
-def resolved_share(trace, cfg):
     peeled = peel(sweep_inputs(trace, cfg))
-    return 0.0 if peeled is None else float(np.mean(~peeled[0]))
+    if peeled is None:
+        return decoded, decided_w, 0.0
+    rest, peel_decoded, peel_w = peeled
+    assert rest.shape == peel_decoded.shape == peel_w.shape == (trace.n_users,)
+    assert np.array_equal(peel_decoded[~rest], want_decoded[~rest])
+    assert np.array_equal(peel_w[~rest], want_w[~rest])
+    return decoded, decided_w, float(np.mean(~rest))
 
 
 def random_system(k, rng):
@@ -65,9 +71,9 @@ def test_random_traces_match_the_sweep():
         trace = generate_trace(cfg, MIXES[k % 4], load, horizon, np.random.default_rng(k))
         if trace.n_users == 0:
             continue
-        assert_same_as_sweep(trace, cfg)
+        _, _, share = assert_same_as_sweep(trace, cfg)
         users += trace.n_users
-        resolved += resolved_share(trace, cfg) * trace.n_users
+        resolved += share * trace.n_users
     # the comparison is not vacuous: the pre-pass took a large part of the work
     assert resolved / users > 0.25
 
@@ -79,9 +85,9 @@ def test_edge_placed_traces_match_the_sweep():
     resolved = []
     for _ in range(60):
         cfg, trace, edge_users = edge_placed_trace(rng)
-        decoded, _ = assert_same_as_sweep(trace, cfg)
+        decoded, _, share = assert_same_as_sweep(trace, cfg)
         assert decoded[edge_users].all()
-        resolved.append(resolved_share(trace, cfg))
+        resolved.append(share)
     # the pre-pass ran on most traces, and the chains were left to the sweep
     assert sum(0.0 < r < 1.0 for r in resolved) > 40
 
@@ -97,10 +103,10 @@ def test_chain_decodes_at_the_step_of_its_cause(cfg200):
     # is blocked by A's until then and decodes in the same step; C's first
     # replica, blocked by B's second, is admitted at step 6 with B gone
     trace = manual_trace(cfg200, [(0.0, 50.0), (0.3, 100.0), (100.3, 250.0)])
-    decoded, decided_w = assert_same_as_sweep(trace, cfg200)
+    decoded, decided_w, share = assert_same_as_sweep(trace, cfg200)
     assert decoded.tolist() == [True, True, True]
     assert decided_w.tolist() == [-540.0, -540.0, -480.0]
-    assert resolved_share(trace, cfg200) == 1.0
+    assert share == 1.0
 
 
 def test_partner_cancelled_after_last_chance_leaves_user_lost():
@@ -108,39 +114,39 @@ def test_partner_cancelled_after_last_chance_leaves_user_lost():
     # (w = 17); B's replicas, pinned by A's, start before 17 and are lost
     cfg = SystemConfig.from_db(6.0, 1.5, 20.0, window_span=1.0 + 1.0 / 20.0)
     trace = manual_trace(cfg, [(0.0, 9.7, 18.0), (0.3, 10.0), (18.3, 36.3)])
-    decoded, decided_w = assert_same_as_sweep(trace, cfg)
+    decoded, decided_w, share = assert_same_as_sweep(trace, cfg)
     assert decoded.tolist() == [True, False, True]
     assert decided_w[0] == decided_w[2] > 10.0
     assert decided_w[1] > 0.3 + cfg.vf_span  # lost once its frame left the window
-    assert resolved_share(trace, cfg) == 1.0
+    assert share == 1.0
 
 
 def test_partial_overlap_decodes_next_to_active_partner(cfg200):
     # first replicas overlap by 0.3 and decode at admission despite each
     # other; the second replicas overlap by 0.7 and never decode
     trace = manual_trace(cfg200, [(0.0, 50.0), (0.7, 50.3)])
-    decoded, decided_w = assert_same_as_sweep(trace, cfg200)
+    decoded, decided_w, share = assert_same_as_sweep(trace, cfg200)
     assert decoded.tolist() == [True, True]
     assert decided_w.tolist() == [-580.0, -580.0]
-    assert resolved_share(trace, cfg200) == 1.0
+    assert share == 1.0
 
 
 def test_replicas_one_packet_apart_are_not_partners(cfg200):
     trace = manual_trace(cfg200, [(0.0, 50.0), (1.0, 50.3)])
-    decoded, decided_w = assert_same_as_sweep(trace, cfg200)
+    decoded, decided_w, share = assert_same_as_sweep(trace, cfg200)
     assert decoded.tolist() == [True, True]
     assert decided_w.tolist() == [-580.0, -580.0]
-    assert resolved_share(trace, cfg200) == 1.0
+    assert share == 1.0
 
 
 def test_admission_on_a_step_boundary_after_a_jump(cfg200):
     # B's first replica ends exactly at the window end of step 10; the sweep
     # jumps over the empty steps after A decodes and must land on step 10
     trace = manual_trace(cfg200, [(0.0, 3.0), (199.0, 202.0)])
-    decoded, decided_w = assert_same_as_sweep(trace, cfg200)
+    decoded, decided_w, share = assert_same_as_sweep(trace, cfg200)
     assert decoded.tolist() == [True, True]
     assert decided_w.tolist() == [-580.0, -400.0]
-    assert resolved_share(trace, cfg200) == 1.0
+    assert share == 1.0
 
 
 def test_replica_due_at_its_owners_expiry_step_is_too_late(cfg200):
@@ -148,10 +154,10 @@ def test_replica_due_at_its_owners_expiry_step_is_too_late(cfg200):
     # frame, is admitted at step 41, the step at which A expires (w = 220),
     # and expiry comes first; B's second replica comes later still
     trace = manual_trace(cfg200, [(0.0, 810.0), (0.3, 1200.0)])
-    decoded, decided_w = assert_same_as_sweep(trace, cfg200)
+    decoded, decided_w, share = assert_same_as_sweep(trace, cfg200)
     assert decoded.tolist() == [False, False]
     assert decided_w.tolist() == [220.0, 220.0]
-    assert resolved_share(trace, cfg200) == 1.0
+    assert share == 1.0
 
 
 def test_clean_replica_skipped_by_a_full_span_step():
@@ -160,20 +166,20 @@ def test_clean_replica_skipped_by_a_full_span_step():
     # replicas block each other, so both users are lost
     users = [(0.0, 10.0), (74.5, 101.3), (101.0, 149.5)]
     cfg = SystemConfig.from_db(6.0, 1.5, 50.0, window_span=1.5, window_step=1.5)
-    decoded, _ = assert_same_as_sweep(manual_trace(cfg, users), cfg)
+    decoded, _, share = assert_same_as_sweep(manual_trace(cfg, users), cfg)
     assert decoded.tolist() == [True, False, False]
-    assert resolved_share(manual_trace(cfg, users), cfg) == 1.0
+    assert share == 1.0
     # with a finer step the same replicas are seen inside the window
     fine = SystemConfig.from_db(6.0, 1.5, 50.0, window_span=1.5, window_step=0.1)
-    decoded, _ = assert_same_as_sweep(manual_trace(fine, users), fine)
+    decoded, _, _ = assert_same_as_sweep(manual_trace(fine, users), fine)
     assert decoded.tolist() == [True, True, True]
 
 
 def test_isolated_trace_is_resolved_by_the_pre_pass(cfg200):
     trace = manual_trace(cfg200, [(10.0 * u, 10.0 * u + 3.0) for u in range(60)])
-    decoded, _ = assert_same_as_sweep(trace, cfg200)
+    decoded, _, share = assert_same_as_sweep(trace, cfg200)
     assert decoded.all()
-    assert resolved_share(trace, cfg200) == 1.0
+    assert share == 1.0
 
 
 def test_no_sweep_when_the_pre_pass_resolves_everyone(cfg200, monkeypatch):
@@ -203,11 +209,9 @@ def test_long_step_grid_is_left_to_the_sweep(monkeypatch):
     trace = generate_trace(cfg, MIXES[0], 0.05, 1000.0, np.random.default_rng(4))
     n_steps = sweep_inputs(trace, cfg).n_steps
     assert n_steps > receiver._MAX_PEEL_STEPS
-    assert resolved_share(trace, cfg) == 0.0
-    assert_same_as_sweep(trace, cfg)
+    assert assert_same_as_sweep(trace, cfg)[2] == 0.0
     monkeypatch.setattr(receiver, "_MAX_PEEL_STEPS", n_steps)
-    assert resolved_share(trace, cfg) > 0.5
-    assert_same_as_sweep(trace, cfg)
+    assert assert_same_as_sweep(trace, cfg)[2] > 0.5
 
 
 def test_asymmetric_neighbours_are_left_to_the_sweep(cfg200, monkeypatch):
@@ -221,7 +225,7 @@ def test_asymmetric_neighbours_are_left_to_the_sweep(cfg200, monkeypatch):
     args = sweep_inputs(trace, cfg200)
     assert args.nb_lo[1] == 0 and args.nb_hi[0] == 1  # sorted positions: s_e 0, s_l 1
     assert peel(args)[0].tolist() == [True, True, False, False]
-    decoded, _ = assert_same_as_sweep(trace, cfg200)
+    decoded, _, _ = assert_same_as_sweep(trace, cfg200)
     assert receiver.run_receiver(trace, cfg200, engine="reference")[0].tolist() == np.flatnonzero(decoded).tolist()
     # the guard taints each owner itself, not through the taint spread: with
     # one round allowed, the spread must find nothing left to taint
@@ -248,7 +252,7 @@ def test_partner_expiring_at_the_last_step_is_left_to_the_sweep():
     last = int(w.searchsorted(45.0, "right")) - 1
     assert expiry_v == admit == last == 3
     assert peel(args) is None
-    decoded, decided_w = assert_same_as_sweep(trace, cfg)
+    decoded, decided_w, _ = assert_same_as_sweep(trace, cfg)
     assert decoded.tolist() == [False, False, True, False]
     assert decided_w[2] == w[3] == 39.0
     assert receiver.run_receiver(trace, cfg, engine="reference")[0].tolist() == [2]
