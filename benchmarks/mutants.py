@@ -53,14 +53,8 @@ SWAP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE:
 #: can or need kill its mutant. "Equivalent": every input gives the same
 #: outputs. "Speed": the outputs stay bit-identical, only the work changes.
 SURVIVORS = {
-    "_kernels.avg_mi: a < s":
-        "Equivalent: at a == s the clamp assigns the value a already has.",
-    "_kernels.avg_mi: b > s_end":
-        "Equivalent: at b == s_end the clamp assigns the value b already has.",
-    "_kernels.avg_mi: b <= a":
-        "Not equivalent, untestable for now: a lone zero-length overlap (a neighbour's end rounding onto s) "
-        "gives (s_end - s) * m_0 for m_0; that moves a decision only at a rate within 2 ulp of I0, "
-        "where the reference already disagrees with the kernel on any clean replica whose s + 1 rounds.",
+    "_kernels.avg_mi: j < i":
+        "Equivalent: j == i is skipped above it.",
     "_kernels.avg_mi: ev_a[ia] <= ev_b[ib]":
         "Equivalent: events at one point add no segment among themselves and leave the same run; "
         "an end cannot be last with a start still due, as every pair has a < b.",
@@ -77,9 +71,6 @@ SURVIVORS = {
         "Equivalent: at lo == admit the scan's upper end is clipped to admit, so the range is empty.",
     "_kernels.sweep: hi > admit":
         "Equivalent: at hi == admit the clip assigns the value hi already has.",
-    "_kernels.sweep: s_r > s_nb - rad":
-        "Speed: a replica at exactly fl(s_nb - rad) is outside the fatal range (searchsorted 'right'); "
-        "decrementing for it only lowers a count, which adds exact evaluations.",
     "_kernels.sweep: n_done >= n_user":
         "Speed: without the early break the sweep visits the remaining steps, where every replica is inactive.",
     "_kernels.sweep: trail >= n_user":
@@ -108,9 +99,6 @@ SURVIVORS = {
         "Speed: at exactly the minimum share peel leaves the trace to the sweep.",
     "receiver.peel: b < s_end":
         "Equivalent: at b == s_end it adds 0.0 to a non-negative sum.",
-    "receiver.peel: b > a":
-        "Equivalent: the symmetry guard leaves untainted only pairs with s_i < fl(s_p + 1), "
-        "so an untainted overlap never has b == a.",
     "receiver.peel: expiry[~tainted].max() >= never":
         "Equivalent: searchsorted gives expiry <= never, and the grid ends two steps past the last "
         "vf_end, so expiry == never needs a step below the rounding of w.",

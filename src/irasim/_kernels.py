@@ -10,9 +10,12 @@ exported, so that perfbench's ``oracle_problems`` can compare them directly:
 
 Both builds take numpy arrays; ``receiver.SweepInputs`` names every
 parameter of the sweep, in order. The caller passes, per replica, the index
-range ``[nb_lo[i], nb_hi[i])`` of the replicas starting within one packet of
-replica ``i``, so the sweep never searches for neighbours. The compiled
-build works on numpy arrays throughout. The plain build holds the flags
+range ``[nb_lo[i], nb_hi[i])`` of the replicas that overlap replica ``i``
+(itself included): ``s_j < fl(s_i + 1)`` and ``fl(s_j + 1) > s_i``, with
+``s`` = ``rep_start`` and ``fl`` = float64 rounding, a symmetric relation.
+So the sweep never searches for neighbours, and ``avg_mi`` sees a positive
+overlap with every replica in the range. The compiled build works on numpy
+arrays throughout. The plain build holds the flags
 ``active``, ``queued`` and ``decoded``, the ``mi_table`` and ``avg_mi``'s
 event buffers as Python lists, which index fastest, and reads and writes
 every other array through a ``memoryview`` of its buffer, which yields
@@ -49,15 +52,15 @@ Times are in packet durations, so every replica lasts exactly 1.
 Fatal pre-test. One equal-power interferer starting less than ``phi``
 from a replica keeps the replica's average MI below the rate (``phi`` from
 ``channel.clean_fraction``), and more interferers only lower it. The caller
-passes a radius ``rad`` a little below ``phi`` and, per replica ``i``,
+picks a radius ``rad`` a little below ``phi`` and passes, per replica ``i``,
 the index range ``[f_lo[i], f_hi[i])`` of its fatal set ``F(i) = {j != i :
-s_j > fl(s_i - rad) and s_j < fl(s_i + rad)}`` and ``i`` itself (``s`` =
-``rep_start``, ``fl`` = float64 rounding; two ``searchsorted`` calls), or
-an empty range where no other replica starts within one packet of ``i``,
-so that ``F(i)`` is empty. The sweep keeps its own count ``n_fatal[i]`` of
-the *active* replicas in ``F(i)``, exact from the admission of ``i`` on for
-as long as ``i`` can still be evaluated (active, not yet behind the window
-start), and nothing lowers it before that admission:
+s_j > fl(s_i - rad) and s_j < fl(s_i + rad)}`` and ``i`` itself (two
+``searchsorted`` calls), or an empty range where no other replica overlaps
+``i``, so that ``F(i)`` is empty. The sweep keeps its own count
+``n_fatal[i]`` of the *active* replicas in ``F(i)``, exact from the
+admission of ``i`` on for as long as ``i`` can still be evaluated (active,
+not yet behind the window start), and nothing lowers it before that
+admission:
 
 * It takes the count when it admits ``i`` active, by counting the active
   replicas in ``[f_lo[i], f_hi[i])`` other than ``i``, but only where the
@@ -66,11 +69,12 @@ start), and nothing lowers it before that admission:
   expired before it.
 * From then on it falls only on decodes: when the owner of ``r`` decodes,
   the sweep decrements ``n_fatal[nb]`` for the admitted ``nb < admit`` in
-  ``r``'s neighbour range with ``s_r > s_nb - rad and s_r < s_nb + rad``
-  (the same float expressions as the searches) that can still be evaluated
-  and are not queued, as a queued count is already zero. The loop stops at
-  the admission edge, and a replica of ``r``'s owner whose whole neighbour
-  range lies beyond it costs no loop at all.
+  ``r``'s neighbour range with ``r`` in ``[f_lo[nb], f_hi[nb])`` that can
+  still be evaluated and are not queued, as a queued count is already zero.
+  ``F(nb)`` lies in ``nb``'s neighbour range (below), so by symmetry every
+  ``r`` in it is visited. The loop stops at the admission edge, and a
+  replica of ``r``'s owner whose whole neighbour range lies beyond it costs
+  no loop at all.
 * Expiry needs no decrement, as a user expires once ``vf_end < w``, after
   the last start ``vf_end - 1`` of its replicas, so any replica within
   ``rad <= 1 - margin`` of one is behind ``w``.
@@ -81,8 +85,8 @@ Only evaluations that fail are dropped, and every replica is still
 evaluated after the last decode in the step that raises its MI; since
 cancelling only raises the MI, each step decodes the same set of users, so
 ``decoded`` and ``decided_w`` are bit-identical to the sweep without the
-test (``rad = 0`` with empty ranges, which ``receiver`` also passes when the
-test is off; no count is taken and no range test holds then).
+test (empty fatal ranges, which ``receiver`` also passes when the test is
+off; no count is taken and nothing is decremented then).
 
 Why the test is sound in float64. Let ``u = 2**-53``, ``S`` the largest
 ``|s_i|`` plus 1, ``e = ulp(S)`` (every rounded position errs by at most
@@ -92,8 +96,8 @@ make ``m_k`` non-increasing), ``N`` the last index of ``mi_table`` (d) and
 ``margin = phi * 1e-9``, ``rad = phi - margin``.
 
 * ``j`` in ``F(i)`` means ``|s_j - s_i| < rad + e/2``. As ``rad <= 1 -
-  margin``, ``j`` lies in ``i``'s neighbour range and ``i`` in ``j``'s once
-  ``margin > e + u``: every count is taken and decremented exactly.
+  margin``, ``j`` lies in ``i``'s neighbour range, and so ``i`` in ``j``'s,
+  once ``margin > e + u``: every count is taken and decremented exactly.
 * With ``j`` in ``F(i)`` active, ``avg_mi`` sees ``j`` with a positive
   overlap. On the rounded positions it uses, the clean part of ``i`` is at
   most ``|s_j - s_i| + e`` long, everything else carries at least one
@@ -103,7 +107,7 @@ make ``m_k`` non-increasing), ``N`` the last index of ``mi_table`` (d) and
   most ``2N + 1`` segments, ``avg_mi < rate`` whenever ``margin`` exceeds
   ``err = 2(e + u) + (e*m_1 + 8u*((2N + 1)*m_0 + rate)) / (m_0 - m_1)``.
 
-``receiver.sweep_inputs`` switches the test off (``rad = 0``) unless
+``receiver.sweep_inputs`` switches the test off (empty ranges) unless
 ``margin > 2 * err``, and when ``phi = 0``. At 6 dB and rate 1.5 on the
 benchmark's traces (``S`` about 4e4) ``err`` is about 2e-11 against a
 margin of 4.4e-10; the test stays on up to ``S`` about 5e5, and near ``S =
@@ -134,30 +138,26 @@ def _build_sweep(jit, view, hold):
     @jit
     def avg_mi(rep_start, active, i, lo, hi, mi_table, ev_a, ev_b):
         # Average MI of replica i against every active replica in [lo, hi),
-        # those starting within one packet of it; same-owner replicas are
-        # never there, as placement keeps them a packet apart.
+        # those overlapping it; same-owner replicas are never there, as
+        # placement keeps them a packet apart. Replicas j < i overlap it on
+        # [s, rep_start[j] + 1), the others on [rep_start[j], s_end), each
+        # with a positive length; as rep_start is sorted, both event lists
+        # are ascending.
         s = rep_start[i]
         s_end = s + 1.0
         k = 0
         for j in range(lo, hi):
             if j == i or not active[j]:
                 continue
-            a = rep_start[j]
-            b = a + 1.0
-            if a < s:
-                a = s
-            if b > s_end:
-                b = s_end
-            if b <= a:
-                continue
-            ev_a[k] = a
-            ev_b[k] = b
+            if j < i:
+                ev_a[k] = s
+                ev_b[k] = rep_start[j] + 1.0
+            else:
+                ev_a[k] = rep_start[j]
+                ev_b[k] = s_end
             k += 1
         if k == 0:
             return mi_table[0]
-        # Both event lists are already ascending, since rep_start is sorted:
-        # replicas j < i contribute a = s and b = rep_start[j] + 1 <= s_end,
-        # replicas j > i contribute a = rep_start[j] and b = s_end.
         acc = 0.0
         prev = s
         ia = 0
@@ -195,7 +195,6 @@ def _build_sweep(jit, view, hold):
         rate,
         nb_lo,
         nb_hi,
-        rad,
         f_lo,
         f_hi,
     ):
@@ -287,14 +286,10 @@ def _build_sweep(jit, view, hold):
                         hi = nb_hi[r]
                         if hi > admit:
                             hi = admit
-                        s_r = rep_start[r]
                         for nb in range(lo, hi):
-                            if not active[nb] or queued[nb]:
+                            if not active[nb] or queued[nb] or rep_start[nb] < w:
                                 continue
-                            s_nb = rep_start[nb]
-                            if s_nb < w:
-                                continue
-                            if s_r > s_nb - rad and s_r < s_nb + rad:
+                            if f_lo[nb] <= r and r < f_hi[nb]:
                                 n_fatal[nb] -= 1
                             if n_fatal[nb] > 0:
                                 continue

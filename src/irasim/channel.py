@@ -101,7 +101,10 @@ def build_timeline(
 
 def avg_mutual_information(tl: InterferenceTimeline, snr: float) -> float:
     """Length-weighted average mutual information over a replica of unit
-    length, which makes the weighted sum the average."""
+    length, which makes the weighted sum the average: ``symbol_mi(snr, 0)``
+    exactly with no interferer, also where a rounded end moves the length."""
+    if all(k == 0 for _, k in tl.segments):
+        return symbol_mi(snr, 0)
     acc = 0.0
     for iv, k in tl.segments:
         acc += iv.length * symbol_mi(snr, k)

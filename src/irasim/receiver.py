@@ -17,14 +17,15 @@ replicas are picked, because cancelling only ever raises the MI of the rest.
 
 The array receiver (:func:`run_sic_kernel`) sorts the replicas once
 (:func:`sweep_inputs`), then resolves in closed form, with numpy, every user
-whose collision component has at most one other replica within one packet
-of each replica (:func:`peel`, which also states why its outcome equals the
-sweep's bit for bit). Only the remaining users go through the window sweep
+whose collision component has at most one other replica overlapping each
+replica (:func:`peel`, which also states why its outcome equals the sweep's
+bit for bit). Only the remaining users go through the window sweep
 of :mod:`irasim._kernels`, which fills in their entries of the pre-pass's
 per-user arrays. At low load, the error-floor region, the pre-pass resolves
-most users. Each replica also gets the index range of the replicas starting
-within the fatal radius of it (:func:`sweep_inputs`), so the sweep skips
-every MI evaluation that one active interferer already decides.
+most users. Each replica gets the index range of the replicas that overlap
+it, a symmetric relation in float arithmetic, and that of the replicas
+starting within the fatal radius of it (:func:`sweep_inputs`), so the sweep
+skips every MI evaluation that one active interferer already decides.
 """
 
 from __future__ import annotations
@@ -198,16 +199,15 @@ class SweepInputs(NamedTuple):
     win_len: float  # window length
     mi_table: np.ndarray  # symbol MI under 0..N interferers, N = max(nb_hi - nb_lo)
     rate: float  # code rate
-    nb_lo: np.ndarray  # replicas nb_lo[i]:nb_hi[i] start strictly less than
-    nb_hi: np.ndarray  # one packet away from replica i (one packet away only touches)
-    rad: float  # fatal radius, 0.0 with the fatal pre-test off
-    f_lo: np.ndarray  # replicas f_lo[i]:f_hi[i], i included, start strictly within rad of
-    f_hi: np.ndarray  # replica i; empty (0:0) where no other replica is within one packet
+    nb_lo: np.ndarray  # replicas nb_lo[i]:nb_hi[i] overlap replica i, i included: with
+    nb_hi: np.ndarray  # e = rep_start + 1.0, rep_start[j] < e[i] and e[j] > rep_start[i]
+    f_lo: np.ndarray  # replicas f_lo[i]:f_hi[i], i included, start strictly within the fatal
+    f_hi: np.ndarray  # radius of i; empty (0:0) where i overlaps no other, or with the test off
 
 
 def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig, users: np.ndarray | None = None) -> SweepInputs:
     """The sweep's arguments for one non-empty trace: its replicas, the
-    receiver's step grid, the MI levels, the fatal radius and the fatal
+    receiver's step grid, the MI levels, the neighbour ranges and the fatal
     ranges. With a mask ``users``, which must select at least one user, they
     are those of the selected users alone, on the step grid of the whole
     trace: its window start ``w0``, and enough steps to classify them."""
@@ -221,10 +221,12 @@ def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig, users: np.ndarray | Non
     rep_start, rep_owner, pos = _sorted_replicas(rep_start, degree)
     vf_end = arrival + cfg.vf_span
     w0 = float(trace.arrival[0]) - cfg.window_length
-    # int32 halves the index arrays the sweep holds next to its lists; on
-    # dense traces that sets the peak memory
-    nb_lo = np.searchsorted(rep_start, rep_start - 1.0, side="right").astype(np.int32)
-    nb_hi = np.searchsorted(rep_start, rep_start + 1.0, side="left").astype(np.int32)
+    # both bounds read the one rounded end rep_start + 1.0, which makes the
+    # relation symmetric; it is a temporary, and int32 halves the index
+    # arrays the sweep holds next to its lists: on dense traces both set the
+    # peak memory
+    nb_lo = (rep_start + 1.0).searchsorted(rep_start, "right").astype(np.int32)
+    nb_hi = rep_start.searchsorted(rep_start + 1.0, "left").astype(np.int32)
     span = nb_hi - nb_lo  # the replica itself included
     mi_table = np.array([symbol_mi(cfg.snr_linear, k) for k in range(int(span.max()) + 1)])
     rad = _fatal_radius(rep_start, mi_table, clean_fraction(cfg.snr_linear, cfg.rate), cfg.rate)
@@ -252,7 +254,6 @@ def sweep_inputs(trace: TrafficTrace, cfg: SystemConfig, users: np.ndarray | Non
         rate=cfg.rate,
         nb_lo=nb_lo,
         nb_hi=nb_hi,
-        rad=rad,
         f_lo=f_lo,
         f_hi=f_hi,
     )
@@ -303,9 +304,9 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Classify, in closed form, the users of sparse collision components.
 
     ``geom`` is the :func:`sweep_inputs` of a trace. A replica is *simple*
-    when at most one other replica, its *partner*, starts within one packet
-    of it. A user owning a non-simple replica is *tainted*, and taint spreads
-    over partner pairs until no untainted replica has a tainted partner. For
+    when at most one other replica, its *partner*, overlaps it. A user
+    owning a non-simple replica is *tainted*, and taint spreads over
+    partner pairs until no untainted replica has a tainted partner. For
     the untainted users this finds exactly what the sweep would, and returns
     ``(rest, decoded, decided_w)``, each with one entry per user of the trace
     in arrival order: ``rest`` marks the tainted users, which the sweep still
@@ -349,14 +350,14 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     neither kind of user has the other's replicas in its neighbour ranges,
     so removing the untainted ones leaves the order of the stack operations
     on tainted replicas, and every MI they see, unchanged. Their inputs come
-    from :func:`sweep_inputs` on their replicas alone: the ``searchsorted``
-    ranges there hold the same replicas, as the symmetry guard below leaves
-    no untainted replica in a tainted one's range; the grid keeps ``w0`` and
+    from :func:`sweep_inputs` on their replicas alone: the neighbour ranges
+    there hold the same replicas, as no tainted replica's range holds an
+    untainted one (the relation is symmetric, so the untainted one would
+    have the tainted replica as its partner); the grid keeps ``w0`` and
     ``step_len``; and the exact fatal pre-test can only switch on.
     """
     rep_start, rep_owner, nb_lo, nb_hi = geom.rep_start, geom.rep_owner, geom.nb_lo, geom.nb_hi
     n_users = geom.vf_end.shape[0]
-    n_rep = rep_start.shape[0]
     mi0, mi1 = geom.mi_table[0], geom.mi_table[1]
     if not mi0 >= geom.rate or geom.n_steps > _MAX_PEEL_STEPS:
         return None
@@ -371,15 +372,9 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     lo = nb_lo[cand]
     hi = nb_hi[cand]
     partner = np.where(lo == cand, hi - 1, lo)  # the replica itself if alone
-    # The neighbour relation is symmetric in exact arithmetic; where rounding
-    # breaks that around a replica, its owner is left to the sweep.
-    sym = (nb_lo[partner] <= cand) & (cand < nb_hi[partner])
-    sym &= (lo == 0) | (nb_hi[np.maximum(lo - 1, 0)] <= cand)
-    sym &= (hi == n_rep) | (nb_lo[np.minimum(hi, n_rep - 1)] > cand)
     owner = rep_owner[cand]
-    tainted[owner[~sym]] = True
     partner_owner = rep_owner[partner]
-    del lo, hi, sym
+    del lo, hi
     paired = np.flatnonzero(partner != cand)
     for _ in range(_MAX_ROUNDS):
         if n_users - np.count_nonzero(tainted) < n_users * _MIN_PEELED_SHARE:
@@ -410,7 +405,7 @@ def peel(geom: SweepInputs) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     a = np.maximum(a, s)
     acc = (a - s) * mi0 + (b - a) * mi1
     acc = np.where(b < s_end, acc + (s_end - b) * mi0, acc)
-    overlap = (partner != cand) & (b > a)
+    overlap = partner != cand
     # the first guard leaves to the sweep a trace it cannot finish (it raises)
     if expiry[~tainted].max() >= never or np.any(overlap & (expiry[partner_owner] <= last)):
         return None

@@ -93,6 +93,8 @@ def check_trace(cfg: SystemConfig, dist: DegreeDistribution, load: float, horizo
         raise ModelError(f"horizon must be finite, got {horizon}")
     if load * horizon > MAX_TRACE_USERS:
         raise ModelError(f"load * horizon = {load * horizon:.3g} users, more than {MAX_TRACE_USERS}")
+    if horizon + cfg.vf_span >= 2.0**53:  # from there on, a start plus one packet rounds to the start
+        raise ModelError(f"horizon + vf_span = {horizon + cfg.vf_span:.3g} packet durations, not below 2**53")
     validate_config(cfg, dist)
     if horizon < cfg.window_length:
         raise HorizonTooShort(

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from irasim.channel import clean_fraction
 from irasim.model import DegreeDistribution, SystemConfig
+from irasim.receiver import _fatal_radius
 from irasim.traffic import TrafficTrace
 
 
@@ -71,6 +73,23 @@ def manual_trace(cfg: SystemConfig, users) -> TrafficTrace:
         load=0.01,
         vf_span=cfg.vf_span,
     )
+
+
+def fatal_radius(args, cfg: SystemConfig) -> float:
+    """The fatal radius ``sweep_inputs`` built the fatal ranges of ``args``
+    with, 0.0 with the pre-test off."""
+    return _fatal_radius(args.rep_start, args.mi_table, clean_fraction(cfg.snr_linear, cfg.rate), cfg.rate)
+
+
+def assert_overlap_ranges(args) -> None:
+    """``[nb_lo[i], nb_hi[i])`` holds exactly the replicas that overlap
+    replica ``i`` in float arithmetic, itself included, and the relation is
+    symmetric: ``j`` lies in ``i``'s range iff ``i`` lies in ``j``'s."""
+    rep_start, nb_lo, nb_hi = args.rep_start, args.nb_lo, args.nb_hi
+    for i, s in enumerate(rep_start):
+        near = np.flatnonzero((rep_start < s + 1.0) & (rep_start + 1.0 > s))
+        assert near.tolist() == list(range(nb_lo[i], nb_hi[i])), i
+        assert ((nb_lo[near] <= i) & (i < nb_hi[near])).all(), i
 
 
 def edge_placed_trace(rng, n_chains=4, n_loose=24):

@@ -1,12 +1,12 @@
 """Differential tests of the sweep's fatal pre-test.
 
-``receiver.sweep_inputs`` passes the sweep a fatal radius ``rad`` and, per
-replica, the index range ``[f_lo, f_hi)`` of the replicas starting strictly
-within ``rad`` of it, itself included; at a replica's admission the sweep
-counts the active ones among the others and never evaluates the replica
-while that count is positive. The oracle is the same sweep on the same
-arguments with the test off (``rad = 0`` and empty ranges): ``decoded`` and
-``decided_w`` must agree bit for bit.
+``receiver.sweep_inputs`` passes the sweep, per replica, the index range
+``[f_lo, f_hi)`` of the replicas starting strictly within the fatal radius
+``rad`` of it, itself included (``conftest.fatal_radius`` recomputes
+``rad``); at a replica's admission the sweep counts the active ones among
+the others and never evaluates the replica while that count is positive.
+The oracle is the same sweep on the same arguments with the test off (empty
+ranges): ``decoded`` and ``decided_w`` must agree bit for bit.
 """
 
 import math
@@ -21,12 +21,12 @@ from irasim.model import SystemConfig
 from irasim.receiver import peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import TrafficTrace, generate_trace
 
-from conftest import MIXES, edge_placed_trace, manual_trace
+from conftest import MIXES, assert_overlap_ranges, edge_placed_trace, fatal_radius, manual_trace
 
 
 def skip_off(args):
     """The same sweep arguments with the fatal test switched off."""
-    return args._replace(rad=0.0, f_lo=np.zeros_like(args.f_lo), f_hi=np.zeros_like(args.f_hi))
+    return args._replace(f_lo=np.zeros_like(args.f_lo), f_hi=np.zeros_like(args.f_hi))
 
 
 def assert_skip_is_exact(args):
@@ -46,13 +46,13 @@ def brute_fatal_counts(rep_start, rad):
     ])
 
 
-def static_counts(args):
+def static_counts(args, rad):
     """``f_hi - f_lo - 1`` per replica, once every fatal range is checked:
     both bounds are int32, a non-empty range holds exactly the replicas
     starting strictly within ``rad``, the replica itself included, and an
-    empty one is left only where no other replica starts within one packet,
+    empty one is left only where no other replica overlaps the replica,
     where it counts 0."""
-    rep_start, rad, f_lo, f_hi = args.rep_start, args.rad, args.f_lo, args.f_hi
+    rep_start, f_lo, f_hi = args.rep_start, args.f_lo, args.f_hi
     assert f_lo.dtype == f_hi.dtype == np.int32
     empty = f_lo == f_hi
     assert not (f_lo[empty] | f_hi[empty]).any()
@@ -99,7 +99,7 @@ def test_random_traces_match_the_sweep_without_the_test():
             continue
         args = sweep_inputs(trace, cfg)
         phi = clean_fraction(cfg.snr_linear, cfg.rate)
-        rad, n_fatal = args.rad, args.f_hi - args.f_lo - 1
+        rad, n_fatal = fatal_radius(args, cfg), args.f_hi - args.f_lo - 1
         if phi == 0.0:
             regimes["phi0"] += 1
             assert rad == 0.0 and not (args.f_lo.any() or args.f_hi.any())
@@ -125,7 +125,7 @@ def test_edge_placed_traces_match_the_sweep_without_the_test():
     for _ in range(60):
         cfg, trace, edge_users = edge_placed_trace(rng)
         args = sweep_inputs(trace, cfg)
-        assert args.rad > 0.0
+        assert fatal_radius(args, cfg) > 0.0
         decoded = assert_skip_is_exact(args)[0]
         assert decoded[edge_users].all()
         skipped += int(np.count_nonzero(args.f_hi - args.f_lo > 1))
@@ -153,8 +153,8 @@ def checked_sweep():
 
     sweep = _kernels._build_sweep(hook, memoryview, _kernels._as_list)
 
-    def run(args):
-        seen["rad"] = args.rad
+    def run(args, rad):
+        seen["rad"] = rad
         seen["calls"] = 0
         out = sweep(*args)
         return out, seen["calls"]
@@ -174,8 +174,8 @@ def test_no_evaluation_next_to_an_active_fatal_neighbour():
         if trace.n_users == 0:
             continue
         args = sweep_inputs(trace, cfg)
-        (decoded, decided_w, _, _), on = run(args)
-        (want_decoded, want_w, _, _), off = run(skip_off(args))
+        (decoded, decided_w, _, _), on = run(args, fatal_radius(args, cfg))
+        (want_decoded, want_w, _, _), off = run(skip_off(args), 0.0)
         assert np.array_equal(decoded, want_decoded) and np.array_equal(decided_w, want_w)
         calls_on += on
         calls_off += off
@@ -188,13 +188,13 @@ def test_decrement_uses_the_counting_expressions():
     # replica at 80. Cancelling B must leave A's count at 1 (C), so A is
     # never evaluated while C is active.
     cfg = SystemConfig.from_db(6.0, 1.5, 200.0)
-    rad = sweep_inputs(manual_trace(cfg, [(50.0, 60.0), (50.2, 60.0)]), cfg).rad
+    rad = fatal_radius(sweep_inputs(manual_trace(cfg, [(50.0, 60.0), (50.2, 60.0)]), cfg), cfg)
     edge = float(np.float64(50.0) + rad)
     trace = manual_trace(cfg, [(50.0, 60.0), (edge, 80.0), (50.2, 60.0)])
     args = sweep_inputs(trace, cfg)
     # sorted: A at 50 (C fatal), C at 50.2 (A and B), B at the edge (C)
-    assert args.rad == rad and static_counts(args)[:3].tolist() == [1, 2, 1]
-    (decoded, _, _, _), _ = checked_sweep()(args)
+    assert fatal_radius(args, cfg) == rad and static_counts(args, rad)[:3].tolist() == [1, 2, 1]
+    (decoded, _, _, _), _ = checked_sweep()(args, rad)
     assert decoded.tolist() == [False, True, False]
 
 
@@ -206,8 +206,9 @@ def test_fatal_neighbour_decoded_before_admission():
     cfg = SystemConfig.from_db(6.0, 1.5, 200.0)
     trace = manual_trace(cfg, [(50.0, 150.0), (150.2, 250.0)])
     args = sweep_inputs(trace, cfg)
-    assert static_counts(args).tolist() == [0, 1, 1, 0]  # sorted: 50, 150, 150.2, 250
-    (decoded, decided_w, _, _), _ = checked_sweep()(args)
+    rad = fatal_radius(args, cfg)
+    assert static_counts(args, rad).tolist() == [0, 1, 1, 0]  # sorted: 50, 150, 150.2, 250
+    (decoded, decided_w, _, _), _ = checked_sweep()(args, rad)
     assert decoded.tolist() == [True, True]
     w = args.w0 + np.arange(args.n_steps) * args.step_len
     admitted = (w + args.win_len).searchsorted(args.rep_start + 1.0, "left")
@@ -219,7 +220,8 @@ def test_fatal_neighbour_decoded_before_admission():
 def test_restricted_inputs_keep_valid_counts():
     # the inputs of the users peel leaves to the sweep, built afresh from
     # their replicas alone, keep the whole trace's grid origin, and their
-    # neighbour and fatal ranges hold exactly what a brute-force count finds
+    # neighbour ranges (the overlaps, a symmetric relation) and fatal ranges
+    # hold exactly what a brute-force count finds
     cfg = SystemConfig.from_db(6.0, 1.5, 50.0)
     split = 0
     for seed in range(12):
@@ -235,14 +237,13 @@ def test_restricted_inputs_keep_valid_counts():
         assert np.array_equal(rest.rep_start, full.rep_start[kept])
         assert np.array_equal(rest.mi_table, full.mi_table[:rest.mi_table.shape[0]])
         starts = rest.rep_start
-        for i, s in enumerate(starts):
-            near = np.flatnonzero((starts > s - 1.0) & (starts < s + 1.0))
-            assert near.tolist() == list(range(rest.nb_lo[i], rest.nb_hi[i])), i
+        assert_overlap_ranges(rest)
         # no kept replica had a dropped one in its range
         assert np.array_equal(rest.nb_hi - rest.nb_lo, (full.nb_hi - full.nb_lo)[kept])
-        assert rest.rad == full.rad > 0.0
-        n_fatal = static_counts(rest)  # int32 bounds included
-        assert n_fatal.tolist() == brute_fatal_counts(starts, rest.rad).tolist()
+        rad = fatal_radius(rest, cfg)
+        assert rad == fatal_radius(full, cfg) > 0.0
+        n_fatal = static_counts(rest, rad)  # int32 bounds included
+        assert n_fatal.tolist() == brute_fatal_counts(starts, rad).tolist()
         want = _kernels.sic_sweep(*full)
         got = assert_skip_is_exact(rest)
         assert np.array_equal(got[0], want[0][peeled[0]])
@@ -257,9 +258,10 @@ def test_counts_on_a_sparse_trace():
     trace = generate_trace(cfg, MIXES[2], 0.05, 4000.0, np.random.default_rng(3))
     args = sweep_inputs(trace, cfg)
     alone = args.nb_hi - args.nb_lo == 1
-    assert args.rad > 0.0 and np.mean(alone) > 0.5
-    n_fatal = static_counts(args)
-    assert n_fatal.tolist() == brute_fatal_counts(args.rep_start, args.rad).tolist()
+    rad = fatal_radius(args, cfg)
+    assert rad > 0.0 and np.mean(alone) > 0.5
+    n_fatal = static_counts(args, rad)
+    assert n_fatal.tolist() == brute_fatal_counts(args.rep_start, rad).tolist()
     assert n_fatal.any() and not n_fatal[alone].any()
     assert (args.f_lo[alone] == args.f_hi[alone]).all()  # not searched
 
@@ -269,8 +271,8 @@ def test_counts_hold_the_replicas_strictly_within_the_radius(rate):
     cfg = SystemConfig.from_db(6.0, rate, 20.0)
     trace = generate_trace(cfg, MIXES[2], 1.0, 300.0, np.random.default_rng(9))
     args = sweep_inputs(trace, cfg)
-    rep_start, nb_lo, nb_hi, rad = args.rep_start, args.nb_lo, args.nb_hi, args.rad
-    n_fatal = static_counts(args)  # int32 bounds included
+    rep_start, nb_lo, nb_hi, rad = args.rep_start, args.nb_lo, args.nb_hi, fatal_radius(args, cfg)
+    n_fatal = static_counts(args, rad)  # int32 bounds included
     assert n_fatal.tolist() == brute_fatal_counts(rep_start, rad).tolist()
     if rate == 0.5:  # below I1: phi = 0, empty fatal ranges
         assert rad == 0.0 and not (args.f_lo.any() or args.f_hi.any())
@@ -291,7 +293,7 @@ def _pair_outcome(cfg, base, offset):
     trace = manual_trace(cfg, [(base, far), (offset, far)])
     args = sweep_inputs(trace, cfg)
     got = assert_skip_is_exact(args)
-    return args, got[0]
+    return args, fatal_radius(args, cfg), got[0]
 
 
 def _nudged(x, k):
@@ -308,18 +310,17 @@ def test_offsets_within_ulps_of_the_threshold(base):
     # a single interferer at phi +- a few ulps: inside the margin, so
     # never counted, and avg_mi decides the knife edge as before
     for k in range(-4, 5):
-        args, _ = _pair_outcome(cfg, base, _nudged(base + phi, k))
-        rad = args.rad
+        args, rad, _ = _pair_outcome(cfg, base, _nudged(base + phi, k))
         assert 0.0 < rad < phi
-        assert static_counts(args)[:2].tolist() == [0, 0]
+        assert static_counts(args, rad)[:2].tolist() == [0, 0]
     # at rad +- a few ulps the test starts to count, and nobody decodes
     for k in range(-4, 5):
         offset = _nudged(base + rad, k)
-        args, decoded = _pair_outcome(cfg, base, offset)
+        args, rad_k, decoded = _pair_outcome(cfg, base, offset)
         want = [int(offset < base + rad), int(base > offset - rad)]
-        assert static_counts(args)[:2].tolist() == want
+        assert static_counts(args, rad_k)[:2].tolist() == want
         assert not decoded.any()
-    args, _ = _pair_outcome(cfg, base, _nudged(base + rad, -1))
+    args, _, _ = _pair_outcome(cfg, base, _nudged(base + rad, -1))
     assert args.f_hi[0] - args.f_lo[0] - 1 == 1
 
 
@@ -327,7 +328,7 @@ def test_guard_switches_the_test_off_near_1e9():
     cfg = SystemConfig.from_db(6.0, 1.5, 20.0)
     trace = generate_trace(cfg, MIXES[2], 0.75, 400.0, np.random.default_rng(4))
     near = sweep_inputs(trace, cfg)
-    assert near.rad > 0.0 and (near.f_hi - near.f_lo - 1 > 0).any()
+    assert fatal_radius(near, cfg) > 0.0 and (near.f_hi - near.f_lo - 1 > 0).any()
     shifted = TrafficTrace(
         arrival=trace.arrival + 1e9,
         degree=trace.degree,
@@ -338,7 +339,7 @@ def test_guard_switches_the_test_off_near_1e9():
         vf_span=trace.vf_span,
     )
     args = sweep_inputs(shifted, cfg)
-    assert args.rad == 0.0 and not (args.f_lo.any() or args.f_hi.any())
+    assert fatal_radius(args, cfg) == 0.0 and not (args.f_lo.any() or args.f_hi.any())
     assert_skip_is_exact(args)
     decoded, decided_w = run_sic_kernel(shifted, cfg)
     want = _kernels.sic_sweep(*skip_off(args))
@@ -353,5 +354,5 @@ def test_receiver_emits_no_regime_warning_per_batch():
         warnings.simplefilter("error")
         args = sweep_inputs(trace, cfg)
         decoded, _ = run_sic_kernel(trace, cfg)
-    assert args.rad > 0.0  # phi = 1, the test is on
+    assert fatal_radius(args, cfg) > 0.0  # phi = 1, the test is on
     assert not decoded.any()

@@ -534,6 +534,17 @@ class TestCli:
         assert cli_main([command[0], str(config_file), *command[1:]]) == 2
         assert "users" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["sweep"], ["simulate", "--load", "1e-14"], ["dump-trace", "--load", "1e-14", "--horizon", "1e16"]]
+    )
+    def test_starts_past_2_53_exit_code(self, config_file, command, no_batches, no_draws, capsys):
+        # a batch spans 200 frames of 1e14 packets; past 2**53 a start plus
+        # one packet rounds back to the start, and no replica overlaps itself
+        text = CONFIG_TEXT.replace("vf_span = 20", "vf_span = 1e14").replace("0.2 0.3", "1e-14")
+        config_file.write_text(text)
+        assert cli_main([command[0], str(config_file), *command[1:]]) == 2
+        assert "2**53" in capsys.readouterr().err
+
     def test_huge_trace_rejected_before_drawing(self):
         cfg = SystemConfig.from_db(6.0, 1.5, 20.0)
         dist = DegreeDistribution.regular(2)

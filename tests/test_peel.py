@@ -18,7 +18,7 @@ from irasim.model import SystemConfig
 from irasim.receiver import peel, run_sic_kernel, sweep_inputs
 from irasim.traffic import generate_trace
 
-from conftest import MIXES, edge_placed_trace, manual_trace
+from conftest import MIXES, assert_overlap_ranges, edge_placed_trace, manual_trace
 
 
 def sweep_alone(trace, cfg):
@@ -214,24 +214,22 @@ def test_long_step_grid_is_left_to_the_sweep(monkeypatch):
     assert assert_same_as_sweep(trace, cfg)[2] > 0.5
 
 
-def test_asymmetric_neighbours_are_left_to_the_sweep(cfg200, monkeypatch):
+def test_replicas_touching_after_rounding_are_not_partners(cfg200):
     # s_e + 1.0 falls halfway between two floats and rounds down to 2.5, so
-    # only the later replica sees the other within one packet. The symmetry
-    # guard leaves both owners to the sweep; the users after them form a
-    # stuck pair, which peel resolves.
+    # the two replicas touch without overlapping in float arithmetic: each
+    # is alone in its range, and the other in neither. The users after them
+    # form a stuck pair. peel resolves all four users, as the sweep and the
+    # reference classify them.
     s_e, s_l = math.nextafter(1.5, 2.0), 2.5
     assert s_e + 1.0 == s_l and s_l - 1.0 < s_e
     trace = manual_trace(cfg200, [(s_e, s_e + 5.0), (s_l, s_l + 7.0), (20.0, 25.0), (20.3, 25.3)])
     args = sweep_inputs(trace, cfg200)
-    assert args.nb_lo[1] == 0 and args.nb_hi[0] == 1  # sorted positions: s_e 0, s_l 1
-    assert peel(args)[0].tolist() == [True, True, False, False]
-    decoded, _, _ = assert_same_as_sweep(trace, cfg200)
-    assert receiver.run_receiver(trace, cfg200, engine="reference")[0].tolist() == np.flatnonzero(decoded).tolist()
-    # the guard taints each owner itself, not through the taint spread: with
-    # one round allowed, the spread must find nothing left to taint
-    monkeypatch.setattr(receiver, "_MAX_ROUNDS", 1)
-    peeled = peel(args)
-    assert peeled is not None and peeled[0].tolist() == [True, True, False, False]
+    assert args.nb_lo[:2].tolist() == [0, 1] and args.nb_hi[:2].tolist() == [1, 2]  # sorted: s_e 0, s_l 1
+    assert_overlap_ranges(args)
+    assert not peel(args)[0].any()
+    decoded, _, share = assert_same_as_sweep(trace, cfg200)
+    assert decoded.tolist() == [True, True, False, False] and share == 1.0
+    assert receiver.run_receiver(trace, cfg200, engine="reference")[0].tolist() == [0, 1]
 
 
 def test_partner_expiring_at_the_last_step_is_left_to_the_sweep():

@@ -19,7 +19,7 @@ from irasim.receiver import (
 )
 from irasim.traffic import generate_trace
 
-from conftest import edge_placed_trace, manual_trace
+from conftest import assert_overlap_ranges, edge_placed_trace, fatal_radius, manual_trace
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,7 @@ def test_edge_placed_traces_engine_equality():
     rng = np.random.default_rng(20_261_020)
     for _ in range(40):
         cfg, trace, edge_users = edge_placed_trace(rng)
+        assert_overlap_ranges(sweep_inputs(trace, cfg))
         dk, lk = run_receiver(trace, cfg, engine="kernel")
         dr, lr = run_receiver(trace, cfg, engine="reference")
         assert np.isin(edge_users, dk).all()  # every chain reached its edge user
@@ -194,15 +195,11 @@ def test_replicas_one_packet_apart_do_not_overlap(cfg200):
 
 
 def test_neighbour_ranges_bound_open_packet_interval(cfg200):
-    # [nb_lo[i], nb_hi[i]) holds exactly the replicas starting strictly
-    # within one packet of replica i, itself included
+    # [nb_lo[i], nb_hi[i]) holds exactly the replicas overlapping replica i
+    # in float arithmetic, itself included, and the relation is symmetric
     rng = np.random.default_rng(3)
     trace = generate_trace(cfg200, DegreeDistribution.regular(3), 1.5, 600.0, rng)
-    args = sweep_inputs(trace, cfg200)
-    rep_start, nb_lo, nb_hi = args.rep_start, args.nb_lo, args.nb_hi
-    for i, s in enumerate(rep_start):
-        near = np.flatnonzero(np.abs(rep_start - s) < 1.0)
-        assert near.tolist() == list(range(nb_lo[i], nb_hi[i]))
+    assert_overlap_ranges(sweep_inputs(trace, cfg200))
 
 
 def test_sweep_input_positions_read_by_the_benchmark(cfg200):
@@ -230,7 +227,7 @@ def test_mi_table_covers_the_largest_neighbour_range(cfg200):
     n = 80
     trace = manual_trace(cfg, [(0.0125 * u, 30.0 + 1.5 * u) for u in range(n)])
     args = sweep_inputs(trace, cfg)
-    assert args.rad == 0.0 and not (args.f_lo.any() or args.f_hi.any())
+    assert fatal_radius(args, cfg) == 0.0 and not (args.f_lo.any() or args.f_hi.any())
     assert int(np.max(args.nb_hi - args.nb_lo)) == n
 
     seen = []
@@ -269,7 +266,7 @@ def test_mi_equal_to_the_rate_decodes(cfg200):
     assert cfg.snr_linear == cfg200.snr_linear
     trace = manual_trace(cfg, [(s_i, 50.0), (s_j, 50.3)])
     args = sweep_inputs(trace, cfg)
-    assert args.rad < s_j - s_i  # the fatal pre-test leaves the pair evaluated
+    assert fatal_radius(args, cfg) < s_j - s_i  # the fatal pre-test leaves the pair evaluated
     assert not peel(args)[0].any()  # run_sic_kernel leaves nobody to the sweep
     decoded, decided_w = run_sic_kernel(trace, cfg)
     assert decoded.tolist() == [True, True]
@@ -277,3 +274,20 @@ def test_mi_equal_to_the_rate_decodes(cfg200):
     assert np.array_equal(swept[0], decoded) and np.array_equal(swept[1], decided_w)
     dr, lr = run_receiver(trace, cfg, engine="reference")
     assert dr.tolist() == [0, 1] and lr.size == 0
+
+
+def test_clean_replica_at_rate_i0_decodes_in_both_engines():
+    # rate == I0, which SystemConfig.from_db accepts: only a replica with no
+    # interferer decodes. User 0's first replica is alone, and its end
+    # s + 1.0 rounds, so its length is not 1; both engines give it exactly
+    # I0. The other two users block each other and user 0's second replica.
+    snr = 10.0 ** 0.6
+    cfg = SystemConfig.from_db(6.0, symbol_mi(snr, 0), 200.0)
+    assert cfg.rate == symbol_mi(cfg.snr_linear, 0)
+    s = 1.25 + 2.0**-52
+    assert (s + 1.0) - s != 1.0
+    trace = manual_trace(cfg, [(s, 100.0), (100.3, 150.0), (100.6, 150.3)])
+    dk, lk = run_receiver(trace, cfg, engine="kernel")
+    dr, lr = run_receiver(trace, cfg, engine="reference")
+    assert dk.tolist() == dr.tolist() == [0]
+    assert lk.tolist() == lr.tolist() == [1, 2]

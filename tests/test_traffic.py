@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from irasim.model import DegreeDistribution, DegreeTooLargeForVF, ModelError, SystemConfig
-from irasim.traffic import HorizonTooShort, _relative_offsets, generate_trace, sample_degrees
+from irasim.traffic import HorizonTooShort, _relative_offsets, check_trace, generate_trace, sample_degrees
 
 from oracles import place_replicas_rejection
 
@@ -143,6 +143,14 @@ class TestGenerateTrace:
     def test_horizon_too_short(self, cfg_tf200_r15, dist_x2):
         with pytest.raises(HorizonTooShort):
             generate_trace(cfg_tf200_r15, dist_x2, 0.1, 100.0, np.random.default_rng(0))
+
+    def test_starts_stay_below_2_53(self, cfg_tf200_r15, dist_x2):
+        # every start s, below horizon + vf_span, keeps s + 1.0 > s; the
+        # integers up to 2**53 are exact, so the sums below are too
+        vf = cfg_tf200_r15.vf_span
+        check_trace(cfg_tf200_r15, dist_x2, 1e-15, 2.0**53 - 1.0 - vf)
+        with pytest.raises(ModelError, match=r"2\*\*53"):
+            check_trace(cfg_tf200_r15, dist_x2, 1e-15, 2.0**53 - vf)
 
     def test_reproducible_for_fixed_seed(self, cfg_tf200_r15, dist_lambda1):
         t1 = generate_trace(cfg_tf200_r15, dist_lambda1, 0.3, 5000.0, np.random.default_rng(13))
